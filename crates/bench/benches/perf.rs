@@ -17,11 +17,10 @@
 use std::path::{Path, PathBuf};
 
 use criterion::{black_box, Criterion};
-use std::sync::Arc;
 
 use pandora_bench::perf::{
     self, bench10_json, bench5_json, bench7_json, duo_step_machine, e16_grid_jobs,
-    fig5_noisy_config, fig5_quiet_config, fig5_step_machine, fig5_step_program,
+    fig5_noisy_config, fig5_quiet_config, fig5_step_machine,
     fig5_trial_checkpoint, run_forked_trial, run_grid_fleet, run_grid_forked, run_grid_serial,
     step_regressions, warmup, PerfRecord, PerfReport, FIG5_DELAY, FIG5_TARGET, NOISY_WARMUP_STEPS,
     QUIET_WARMUP_STEPS, STEPS_PER_ITER,
@@ -30,7 +29,7 @@ use pandora_attacks::{AmplifyGadget, FlushKind};
 use pandora_channels::prime_probe::probe_calibration_round;
 use pandora_isa::{Asm, Reg};
 use pandora_runner::output::atomic_write;
-use pandora_sim::{FleetSpec, Machine};
+use pandora_sim::Machine;
 
 /// Per-step `step/*` regression tolerance for `--check`, in percent.
 const MAX_STEP_REGRESS_PCT: f64 = 20.0;
@@ -135,29 +134,6 @@ fn bench_fig5_forked(c: &mut Criterion) {
     });
 }
 
-/// Members stepped by the `fleet/step_1k` lockstep bench.
-const FLEET_STEP_MEMBERS: u64 = 2;
-
-fn bench_fleet_step(c: &mut Criterion) {
-    // Lockstep batch stepping through the fleet's single-thread inline
-    // dispatch (what --fleet-threads 1 and nested-parallelism callers
-    // get): one iter advances each of 2 quiet fig5 members by
-    // STEPS_PER_ITER cycles, so per-step cost is directly comparable
-    // to step/fig5_quiet — the delta is the fleet's dispatch overhead.
-    let program = Arc::new(fig5_step_program());
-    let mut fleet = FleetSpec::seed_grid(fig5_quiet_config(), &program, [0, 1])
-        .with_threads(1)
-        .build();
-    fleet.step_batch(QUIET_WARMUP_STEPS);
-    c.bench_function("fleet/step_1k", |b| {
-        b.iter(|| {
-            fleet.step_batch(STEPS_PER_ITER);
-            black_box(fleet.merged_stats().cycles)
-        });
-    });
-    assert_eq!(fleet.running(), 2, "step workloads must never halt");
-}
-
 fn bench_e16_grid(c: &mut Criterion) {
     // The tentpole comparison behind BENCH_7.json: the same 40-trial
     // E16-shaped sweep (8 amplified silent-store trials at each of 5
@@ -182,8 +158,6 @@ fn bench_e16_grid(c: &mut Criterion) {
 fn work_per_iter(id: &str) -> u64 {
     if id.starts_with("step/") {
         STEPS_PER_ITER
-    } else if id == "fleet/step_1k" {
-        FLEET_STEP_MEMBERS * STEPS_PER_ITER
     } else if id.ends_with("/e16_grid") {
         e16_grid_jobs().len() as u64
     } else {
@@ -215,7 +189,6 @@ fn main() {
     bench_prime_probe(&mut c);
     bench_fig5_amplification(&mut c);
     bench_fig5_forked(&mut c);
-    bench_fleet_step(&mut c);
     bench_e16_grid(&mut c);
     c.final_summary();
 

@@ -24,14 +24,16 @@
 //!   than 20% — see [`PerfRecord::best_unit_ns`] for why the minimum,
 //!   not the median, is compared), validated by `runall --smoke`.
 //!
-//! Everything here is dependency-free: the JSON writer and the small
-//! recursive-descent reader below exist because the build environment
-//! has no registry access (no serde).
+//! Reports are read back through the workspace JSON codec
+//! ([`pandora_runner::json`]); the writers below format floats with a
+//! fixed number of decimals, which that codec's number printing does
+//! not.
 
 use std::sync::Arc;
 
 use pandora_attacks::{AmplifyGadget, FlushKind};
 use pandora_isa::{Asm, Program, Reg};
+use pandora_runner::json::{self, Json};
 use pandora_sim::fleet::MemberSpec;
 use pandora_sim::noise::{traffic_program, NoiseConfig};
 use pandora_sim::{Checkpoint, DuoMachine, Machine, OptConfig, SimConfig};
@@ -397,19 +399,28 @@ impl PerfReport {
     /// A human-readable description of the first syntax or shape
     /// problem encountered.
     pub fn from_json(text: &str) -> Result<PerfReport, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level is not an object")?;
-        let schema = json::get_num(obj, "schema").ok_or("missing \"schema\"")? as u32;
-        let mode = json::get_str(obj, "mode").ok_or("missing \"mode\"")?.to_string();
-        let benches_v = json::get(obj, "benches")
-            .and_then(json::Value::as_arr)
+        let v = json::parse(text).map_err(|e| e.to_string())?;
+        let num = |o: &Json, k: &str| match o.get(k) {
+            Some(Json::Num(n)) => Some(*n),
+            _ => None,
+        };
+        let schema = num(&v, "schema").ok_or("missing \"schema\"")? as u32;
+        let mode = v
+            .get("mode")
+            .and_then(Json::as_str)
+            .ok_or("missing \"mode\"")?
+            .to_string();
+        let benches_v = v
+            .get("benches")
+            .and_then(Json::as_array)
             .ok_or("missing \"benches\" array")?;
         let mut benches = Vec::with_capacity(benches_v.len());
-        for (i, bv) in benches_v.iter().enumerate() {
-            let b = bv.as_obj().ok_or_else(|| format!("bench #{i} is not an object"))?;
-            let field = |k: &str| json::get_num(b, k).ok_or_else(|| format!("bench #{i}: missing \"{k}\""));
+        for (i, b) in benches_v.iter().enumerate() {
+            let field = |k: &str| num(b, k).ok_or_else(|| format!("bench #{i}: missing \"{k}\""));
             benches.push(PerfRecord {
-                id: json::get_str(b, "id")
+                id: b
+                    .get("id")
+                    .and_then(Json::as_str)
                     .ok_or_else(|| format!("bench #{i}: missing \"id\""))?
                     .to_string(),
                 median_ns: field("median_ns")?,
@@ -575,203 +586,6 @@ pub fn check_baseline_file(path: &std::path::Path) -> Result<Option<PerfReport>,
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Minimal JSON reader for the report formats above (the workspace is
-/// offline; there is no serde). Supports objects, arrays, strings
-/// (with `\"`/`\\`/`\n`-style escapes), numbers, booleans, and null.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `{...}` — insertion-ordered key/value pairs.
-        Obj(Vec<(String, Value)>),
-        /// `[...]`.
-        Arr(Vec<Value>),
-        /// `"..."`.
-        Str(String),
-        /// Any number (parsed as `f64`).
-        Num(f64),
-        /// `true` / `false`.
-        Bool(bool),
-        /// `null`.
-        Null,
-    }
-
-    impl Value {
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(m) => Some(m),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    pub fn get_num(obj: &[(String, Value)], key: &str) -> Option<f64> {
-        match get(obj, key)? {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    pub fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-        match get(obj, key)? {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b.get(self.i).copied().ok_or_else(|| "unexpected end of input".into())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at offset {}", c as char, self.i))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.obj(),
-                b'[' => self.arr(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.lit("true", Value::Bool(true)),
-                b'f' => self.lit("false", Value::Bool(false)),
-                b'n' => self.lit("null", Value::Null),
-                _ => self.num(),
-            }
-        }
-
-        fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at offset {}", self.i))
-            }
-        }
-
-        fn obj(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut m = Vec::new();
-            if self.peek()? == b'}' {
-                self.i += 1;
-                return Ok(Value::Obj(m));
-            }
-            loop {
-                let k = self.string()?;
-                self.expect(b':')?;
-                m.push((k, self.value()?));
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b'}' => {
-                        self.i += 1;
-                        return Ok(Value::Obj(m));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
-                }
-            }
-        }
-
-        fn arr(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut a = Vec::new();
-            if self.peek()? == b']' {
-                self.i += 1;
-                return Ok(Value::Arr(a));
-            }
-            loop {
-                a.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b']' => {
-                        self.i += 1;
-                        return Ok(Value::Arr(a));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut s = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or("unterminated string")?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(s),
-                    b'\\' => {
-                        let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                        self.i += 1;
-                        s.push(match e {
-                            b'"' => '"',
-                            b'\\' => '\\',
-                            b'/' => '/',
-                            b'n' => '\n',
-                            b't' => '\t',
-                            b'r' => '\r',
-                            _ => return Err(format!("unsupported escape at offset {}", self.i)),
-                        });
-                    }
-                    _ => s.push(c as char),
-                }
-            }
-        }
-
-        fn num(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            let start = self.i;
-            while self.i < self.b.len()
-                && matches!(self.b[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                self.i += 1;
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at offset {start}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,6 +616,25 @@ mod tests {
         assert_eq!(parsed.benches[0].id, "step/fig5_quiet");
         assert!((parsed.benches[0].median_ns - 123_456.7).abs() < 0.2);
         assert_eq!(parsed.benches[1].work_per_iter, 1);
+    }
+
+    #[test]
+    fn committed_reports_parse_to_the_pinned_records() {
+        // Digests of the records the pre-codec reader produced from the
+        // committed files, which are history and never rewritten.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (file, len, digest) in [
+            ("BENCH_5.json", 10, 0x5396_03e2_af32_7d35),
+            ("BENCH_7.json", 10, 0x5396_03e2_af32_7d35),
+            ("BENCH_10.json", 10, 0x5396_03e2_af32_7d35),
+            ("results/perf_baseline.json", 5, 0xdd3c_82e2_4892_e695),
+        ] {
+            let text = std::fs::read_to_string(root.join(file)).unwrap();
+            let r = PerfReport::from_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert_eq!(r.benches.len(), len, "{file}");
+            let got = pandora_runner::fnv1a64(format!("{r:?}").as_bytes());
+            assert_eq!(got, digest, "{file}: parsed records changed");
+        }
     }
 
     #[test]

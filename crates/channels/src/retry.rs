@@ -389,10 +389,11 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer — the workspace's stock seeded hash (the
-/// simulator's fault plans and the runner's chaos plans use the same
-/// mix), here decorrelating jitter across attempt indices.
-fn splitmix64(seed: u64) -> u64 {
+/// SplitMix64 finalizer — the workspace's one seeded hash. Here it
+/// decorrelates jitter across attempt indices; the runner's chaos plans
+/// step a SplitMix64 stream through it.
+#[must_use]
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

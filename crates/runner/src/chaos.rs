@@ -31,6 +31,8 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
+use pandora_channels::retry::splitmix64;
+
 /// The operation class performed at a [`Site`]; decides which
 /// [`ChaosKind`]s are meaningful there.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -252,9 +254,9 @@ impl ChaosPlan {
         let mut state = seed ^ 0xc4a0_5eed_0bad_d15c;
         let events = (0..n)
             .map(|_| {
-                let site = Site::ALL[(splitmix64(&mut state) % Site::ALL.len() as u64) as usize];
-                let nth = splitmix64(&mut state) % 6;
-                let roll = splitmix64(&mut state);
+                let site = Site::ALL[(draw(&mut state) % Site::ALL.len() as u64) as usize];
+                let nth = draw(&mut state) % 6;
+                let roll = draw(&mut state);
                 let kind = match site.op() {
                     Op::WriteAll => match roll % 3 {
                         0 => ChaosKind::Enospc,
@@ -309,7 +311,7 @@ impl ChaosPlan {
     #[must_use]
     pub fn selftest(seed: u64) -> ChaosPlan {
         let mut state = seed ^ 0x5e1f_7e57_c4a0_5000;
-        let keep = (splitmix64(&mut state) % 12) as usize;
+        let keep = (draw(&mut state) % 12) as usize;
         ChaosPlan::new(vec![
             // Fires on the first journal append; journaling then
             // degrades, so this is the run's only journal fault.
@@ -621,12 +623,11 @@ pub fn set_len(site: Site, file: &File, len: u64) -> io::Result<()> {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// Draws the next value of the SplitMix64 stream at `state`.
+fn draw(state: &mut u64) -> u64 {
+    let r = splitmix64(*state);
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    r
 }
 
 #[cfg(test)]

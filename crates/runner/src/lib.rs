@@ -34,15 +34,20 @@
 //!   kills at every crash point are first-class, testable inputs
 //!   (`runall --chaos`), with injection counters surfaced in the suite
 //!   report's `health` section.
+//! * **Shared infrastructure** ([`json`], [`breaker`]) — the workspace's
+//!   one JSON codec and one circuit breaker, used by the suite and by
+//!   the scan service alike.
 //!
 //! The experiments themselves live in `pandora-bench`
 //! (`pandora_bench::experiments::registry()`); the `runall` binary
 //! there drives this crate.
 
+pub mod breaker;
 pub mod chaos;
 pub mod error;
 pub mod experiment;
 pub mod journal;
+pub mod json;
 pub mod orchestrator;
 pub mod output;
 pub mod partial_results;

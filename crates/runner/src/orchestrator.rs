@@ -41,9 +41,11 @@ use std::time::{Duration, Instant};
 
 use pandora_channels::RetryPolicy;
 
+use crate::breaker::Breaker;
 use crate::chaos::{self, ChaosPlan};
 use crate::experiment::{Ctx, Experiment, Failure, Profile};
 use crate::journal::{Journal, JournalEntry, Manifest};
+use crate::json::{obj, Json};
 use crate::output::{atomic_write, hash_str};
 use crate::registry::Registry;
 
@@ -213,63 +215,7 @@ impl SuiteReport {
     /// Renders the machine-readable `summary.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": 1,");
-        let _ = writeln!(s, "  \"profile\": \"{}\",", self.profile.as_str());
-        let _ = writeln!(s, "  \"seed\": \"{:#018x}\",", self.seed);
-        let _ = writeln!(s, "  \"run_hash\": \"{:#018x}\",", self.run_hash);
-        let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let h = &self.health;
-        s.push_str("  \"health\": {");
-        let _ = write!(s, "\"worker_restarts\": {}, ", h.worker_restarts);
-        let _ = write!(s, "\"workers_abandoned\": {}, ", h.workers_abandoned);
-        let _ = write!(s, "\"breakers_open\": [");
-        for (i, name) in h.breakers_open.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\"{}\"",
-                if i > 0 { ", " } else { "" },
-                json_escape(name)
-            );
-        }
-        let _ = write!(s, "], ");
-        let _ = write!(s, "\"admission_deferrals\": {}, ", h.admission_deferrals);
-        let _ = write!(s, "\"journal_degraded\": {}, ", h.journal_degraded);
-        let _ = write!(s, "\"publish_failures\": {}, ", h.publish_failures);
-        let _ = write!(s, "\"faults_injected\": {}, ", h.faults_injected);
-        let _ = write!(s, "\"faults_survived\": {}, ", h.faults_survived);
-        let _ = write!(s, "\"fault_kinds\": [");
-        for (i, kind) in h.fault_kinds.iter().enumerate() {
-            let _ = write!(s, "{}\"{kind}\"", if i > 0 { ", " } else { "" });
-        }
-        let _ = write!(s, "], ");
-        let _ = write!(s, "\"io_ops\": {}", h.io_ops);
-        s.push_str("},\n");
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {");
-            let _ = write!(s, "\"name\": \"{}\", ", json_escape(&e.name));
-            let _ = write!(s, "\"status\": \"{}\", ", e.status.keyword());
-            let _ = write!(
-                s,
-                "\"partial\": {}, ",
-                matches!(e.status, Status::Partial { .. })
-            );
-            if let Some(reason) = e.status.reason() {
-                let _ = write!(s, "\"reason\": \"{}\", ", json_escape(reason));
-            }
-            let _ = write!(s, "\"wall_ms\": {}, ", e.wall.as_millis());
-            let _ = write!(s, "\"retries\": {}, ", e.retries);
-            let _ = write!(s, "\"resumed\": {}, ", e.resumed);
-            let _ = write!(s, "\"reverified\": {}, ", e.reverified);
-            let _ = write!(s, "\"output_hash\": \"{:#018x}\", ", e.output_hash);
-            let _ = write!(s, "\"output_bytes\": {}", e.output_bytes);
-            s.push('}');
-            s.push_str(if i + 1 < self.experiments.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        self.summary(false).pretty()
     }
 
     /// Renders the *canonical* summary document
@@ -282,43 +228,68 @@ impl SuiteReport {
     /// crash-point recovery tests pin.
     #[must_use]
     pub fn to_json_canonical(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": 1,");
-        let _ = writeln!(s, "  \"profile\": \"{}\",", self.profile.as_str());
-        let _ = writeln!(s, "  \"seed\": \"{:#018x}\",", self.seed);
-        let _ = writeln!(s, "  \"run_hash\": \"{:#018x}\",", self.run_hash);
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {");
-            let _ = write!(s, "\"name\": \"{}\", ", json_escape(&e.name));
-            let _ = write!(s, "\"status\": \"{}\", ", e.status.keyword());
-            let _ = write!(s, "\"output_hash\": \"{:#018x}\", ", e.output_hash);
-            let _ = write!(s, "\"output_bytes\": {}", e.output_bytes);
-            s.push('}');
-            s.push_str(if i + 1 < self.experiments.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        self.summary(true).pretty()
     }
-}
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    /// The summary document; `canonical` drops every field that is not
+    /// a deterministic fact of the run.
+    fn summary(&self, canonical: bool) -> Json {
+        let hex = |v: u64| Json::Str(format!("{v:#018x}"));
+        let mut doc = vec![
+            ("version", Json::from(1)),
+            ("profile", Json::from(self.profile.as_str())),
+            ("seed", hex(self.seed)),
+            ("run_hash", hex(self.run_hash)),
+        ];
+        if !canonical {
+            let h = &self.health;
+            doc.push(("jobs", Json::from(self.jobs as u64)));
+            doc.push((
+                "health",
+                obj(vec![
+                    ("worker_restarts", Json::from(u64::from(h.worker_restarts))),
+                    ("workers_abandoned", Json::from(u64::from(h.workers_abandoned))),
+                    (
+                        "breakers_open",
+                        Json::Arr(h.breakers_open.iter().map(|n| Json::from(n.as_str())).collect()),
+                    ),
+                    ("admission_deferrals", Json::from(h.admission_deferrals)),
+                    ("journal_degraded", Json::Bool(h.journal_degraded)),
+                    ("publish_failures", Json::from(u64::from(h.publish_failures))),
+                    ("faults_injected", Json::from(h.faults_injected)),
+                    ("faults_survived", Json::from(h.faults_survived)),
+                    (
+                        "fault_kinds",
+                        Json::Arr(h.fault_kinds.iter().map(|&k| Json::from(k)).collect()),
+                    ),
+                    ("io_ops", Json::from(h.io_ops)),
+                ]),
+            ));
         }
+        let rows = self.experiments.iter().map(|e| {
+            let mut row = vec![
+                ("name", Json::from(e.name.as_str())),
+                ("status", Json::from(e.status.keyword())),
+            ];
+            if !canonical {
+                row.push(("partial", Json::Bool(matches!(e.status, Status::Partial { .. }))));
+                if let Some(reason) = e.status.reason() {
+                    row.push(("reason", Json::from(reason)));
+                }
+                row.extend([
+                    ("wall_ms", Json::from(e.wall.as_millis() as u64)),
+                    ("retries", Json::from(u64::from(e.retries))),
+                    ("resumed", Json::Bool(e.resumed)),
+                    ("reverified", Json::Bool(e.reverified)),
+                ]);
+            }
+            row.push(("output_hash", hex(e.output_hash)));
+            row.push(("output_bytes", Json::from(e.output_bytes)));
+            obj(row)
+        });
+        doc.push(("experiments", Json::Arr(rows.collect())));
+        obj(doc)
     }
-    out
 }
 
 /// Options for one suite run.
@@ -642,54 +613,31 @@ impl JobQueue {
     }
 }
 
-/// Per-experiment circuit breaker state.
-#[derive(Default)]
-struct BreakerState {
-    consecutive: u32,
-    open: bool,
-    last: String,
-}
+/// Per-experiment circuit breakers, each with the message of its last
+/// panic/deadline failure.
+type Breakers = Mutex<Vec<(Breaker, String)>>;
 
-type Breakers = Mutex<Vec<BreakerState>>;
-
+/// Why experiment `index` is skipped, if its breaker is open. Suite
+/// breakers never cool down, so time plays no part: every breaker call
+/// passes 0 as `now_ms`.
 fn breaker_open_reason(breakers: &Breakers, index: usize, threshold: u32) -> Option<String> {
-    if threshold == 0 {
-        return None;
-    }
     let guard = breakers.lock().unwrap_or_else(|p| p.into_inner());
-    let b = &guard[index];
-    b.open.then(|| {
+    let (b, last) = &guard[index];
+    b.is_open(0).then(|| {
         format!(
             "circuit breaker opened after {threshold} consecutive panic/deadline \
-             failure(s); skipping remaining attempts (last failure: {})",
-            b.last
+             failure(s); skipping remaining attempts (last failure: {last})"
         )
     })
 }
 
-/// Records a panic/deadline failure; returns `true` if the breaker just
-/// opened.
-fn breaker_record_crash(breakers: &Breakers, index: usize, threshold: u32, what: &str) -> bool {
-    if threshold == 0 {
-        return false;
-    }
+/// Records a panic/deadline failure of experiment `index`. The cooldown
+/// of `u64::MAX` keeps an opened breaker open for the rest of the suite.
+fn breaker_record_crash(breakers: &Breakers, index: usize, threshold: u32, what: &str) {
     let mut guard = breakers.lock().unwrap_or_else(|p| p.into_inner());
-    let b = &mut guard[index];
-    b.consecutive += 1;
-    b.last = what.to_string();
-    if !b.open && b.consecutive >= threshold {
-        b.open = true;
-        return true;
-    }
-    false
-}
-
-fn breaker_record_success(breakers: &Breakers, index: usize) {
-    let mut guard = breakers.lock().unwrap_or_else(|p| p.into_inner());
-    let b = &mut guard[index];
-    if !b.open {
-        b.consecutive = 0;
-    }
+    let (b, last) = &mut guard[index];
+    *last = what.to_string();
+    b.record_failure(threshold, u64::MAX, 0);
 }
 
 /// Worker → supervisor messages.
@@ -825,7 +773,9 @@ fn worker_loop(
             }
             match result {
                 Ok(Ok(())) => {
-                    breaker_record_success(breakers, index);
+                    breakers.lock().unwrap_or_else(|p| p.into_inner())[index]
+                        .0
+                        .record_success();
                     status = Some(Status::Ok);
                     break;
                 }
@@ -1180,8 +1130,7 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
     let to_run = pending.len();
     let workers_planned = opts.jobs.max(1).min(to_run.max(1));
     let exps: Arc<Vec<Experiment>> = Arc::new(selected.iter().map(|&e| e.clone()).collect());
-    let breakers: Arc<Breakers> =
-        Arc::new(Mutex::new((0..exps.len()).map(|_| BreakerState::default()).collect()));
+    let breakers: Arc<Breakers> = Arc::new(Mutex::new(vec![Default::default(); exps.len()]));
 
     if to_run > 0 {
         supervise(
@@ -1203,7 +1152,7 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
         health.breakers_open = guard
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.open)
+            .filter(|(_, (b, _))| b.is_open(0))
             .map(|(i, _)| exps[i].name.to_string())
             .collect();
     }

@@ -9,7 +9,7 @@
 
 pub mod http;
 pub mod job;
-pub mod json;
+pub use pandora_runner::json;
 pub mod quota;
 pub mod scan;
 pub mod server;

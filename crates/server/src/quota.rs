@@ -7,6 +7,8 @@
 
 use std::collections::HashMap;
 
+use pandora_runner::breaker::Breaker;
+
 /// Token-bucket parameters.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct QuotaConfig {
@@ -104,16 +106,6 @@ impl Bucket {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Breaker {
-    consecutive_failures: u32,
-    open_until_ms: Option<u64>,
-    /// Set when a post-cooldown probe has been admitted but not yet
-    /// resolved: a failure in this state re-opens immediately instead
-    /// of granting a fresh threshold of failures.
-    half_open: bool,
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Tenant {
     bucket: Bucket,
@@ -162,17 +154,11 @@ impl Admission {
         }
         let cfg = self.cfg;
         let t = self.tenants.get_mut(tenant).expect("just inserted");
-        if let Some(until) = t.breaker.open_until_ms {
-            if now_ms < until {
-                return Err(Refusal::BreakerOpen {
-                    retry_after_ms: until - now_ms,
-                });
-            }
-            // Half-open: let this request probe; a single failure while
-            // half-open re-opens immediately (see `record_failure`).
-            t.breaker.open_until_ms = None;
-            t.breaker.half_open = true;
-        }
+        // After the cooldown the breaker half-opens and lets this request
+        // probe; a single failure while half-open re-opens it.
+        t.breaker
+            .admit(now_ms)
+            .map_err(|retry_after_ms| Refusal::BreakerOpen { retry_after_ms })?;
         t.bucket
             .try_take(&cfg, now_ms)
             .map_err(|retry_after_ms| Refusal::RateLimited { retry_after_ms })
@@ -181,27 +167,17 @@ impl Admission {
     /// Records a supervised failure (panic or wedge) for `tenant`;
     /// returns `true` if the breaker just opened.
     pub fn record_failure(&mut self, tenant: &str, now_ms: u64) -> bool {
-        let threshold = self.cfg.breaker_threshold;
-        let cooldown = self.cfg.breaker_cooldown_ms;
-        let Some(t) = self.tenants.get_mut(tenant) else {
-            return false;
-        };
-        t.breaker.consecutive_failures = t.breaker.consecutive_failures.saturating_add(1);
-        if threshold > 0 && (t.breaker.half_open || t.breaker.consecutive_failures >= threshold) {
-            // A failed half-open probe re-opens at once; the streak is
-            // kept (not zeroed) so only a recorded success closes it.
-            t.breaker.open_until_ms = Some(now_ms + cooldown);
-            t.breaker.half_open = false;
-            return true;
-        }
-        false
+        let (threshold, cooldown) = (self.cfg.breaker_threshold, self.cfg.breaker_cooldown_ms);
+        self.tenants
+            .get_mut(tenant)
+            .is_some_and(|t| t.breaker.record_failure(threshold, cooldown, now_ms))
     }
 
     /// Records a completed scan (success or a *controlled* job error),
     /// closing the failure streak and any half-open probe.
     pub fn record_success(&mut self, tenant: &str) {
         if let Some(t) = self.tenants.get_mut(tenant) {
-            t.breaker = Breaker::default();
+            t.breaker.record_success();
         }
     }
 
@@ -212,7 +188,7 @@ impl Admission {
         let mut v: Vec<String> = self
             .tenants
             .iter()
-            .filter(|(_, t)| t.breaker.open_until_ms.is_some_and(|u| now_ms < u))
+            .filter(|(_, t)| t.breaker.is_open(now_ms))
             .map(|(n, _)| n.clone())
             .collect();
         v.sort_unstable();

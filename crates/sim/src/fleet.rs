@@ -2,35 +2,35 @@
 //!
 //! Every quantitative result in the reproduction — the Fig. 5
 //! amplification table, the Fig. 6 key-recovery histogram, the E16
-//! noise grid — is built from hundreds of *independent* simulated
-//! trials. This module is the scaling substrate for those sweeps: a
-//! [`Fleet`] owns N machines (distinct seeds, noise intensities, cache
-//! geometries, hook sets — expressed as a [`FleetSpec`]/[`MemberSpec`]
-//! grid over [`SimConfig`]) and advances them across all cores via
-//! `std::thread::scope` work-stealing, while [`trial_grid`] runs a flat
-//! list of trial jobs through a pool of recycled machines
-//! ([`Machine::reset_to`]) instead of constructing one per trial.
-//! Members whose trials share a long warm-up prefix can fork from a
-//! shared [`Checkpoint`] ([`MemberSpec::with_start`]) instead of
-//! replaying it, with bit-equal results.
+//! noise grid, the scan service's hook matrix — is built from hundreds
+//! of *independent* simulated trials. This module is the one way to run
+//! them: [`trial_grid`] takes a flat list of trials, each a
+//! [`MemberSpec`] over [`SimConfig`] (distinct seeds, noise
+//! intensities, cache geometries, hook sets), and runs them through a
+//! pool of recycled machines ([`Machine::reset_to`]) across
+//! `std::thread::scope` work-stealing threads, instead of constructing
+//! one machine per trial. [`trial_grid_pooled`] keeps that pool
+//! ([`MachinePool`]) across calls. Trials whose runs share a long
+//! warm-up prefix can fork from a shared [`Checkpoint`]
+//! ([`MemberSpec::with_start`]) instead of replaying it, with
+//! bit-equal results.
 //!
 //! Three properties are contractual, pinned by
 //! `tests/fleet_differential.rs`:
 //!
-//! * **Determinism** — a fleet member produces `SimStats` bit-equal to
-//!   a lone `Machine` built from the same config/seed, regardless of
-//!   thread count or steal order. Members share no mutable state:
-//!   programs are shared read-only behind [`Arc`], each member owns its
+//! * **Determinism** — a trial produces `SimStats` bit-equal to a lone
+//!   `Machine` built from the same config/seed, regardless of thread
+//!   count or steal order. Trials share no mutable state: programs are
+//!   shared read-only behind [`Arc`], each worker owns its pool slot's
 //!   machine, and machine recycling (`reset_to`) is bit-equal to fresh
 //!   construction.
-//! * **Degradation** — one member's [`SimError`] (or panic) degrades
-//!   that member only, never the batch: errors are captured per member
+//! * **Degradation** — one trial's [`SimError`] (or panic) degrades
+//!   that trial only, never the batch: errors are captured per trial
 //!   as [`MemberError`] and siblings run to completion.
-//! * **Reduction** — per-machine [`SimStats`] reduce with
-//!   [`SimStats::merge`]; receiver transcripts reduce through the
-//!   per-trial `extract` closure of [`trial_grid`] (which runs on the
-//!   worker that owns the machine, so decoded symbols — not machines —
-//!   cross threads).
+//! * **Reduction** — each completed trial reduces through the
+//!   per-trial `extract` closure of [`trial_grid`], which runs on the
+//!   worker that owns the machine, so decoded results (stats, receiver
+//!   transcripts, symbols) — not machines — cross threads.
 //!
 //! Thread-count resolution: every entry point takes a `threads`
 //! argument where `0` means "the process default" —
@@ -39,8 +39,8 @@
 //! via [`set_default_threads`] (`runall --fleet-threads`). The
 //! effective count is additionally clamped to the job count, and a
 //! single-thread dispatch runs inline on the caller's thread with no
-//! spawning (and no allocation — the zero-alloc audit steps a fleet
-//! through that path).
+//! spawning (the zero-alloc audit runs a warmed pool through that
+//! path).
 
 use std::any::Any;
 use std::fmt;
@@ -180,88 +180,6 @@ impl fmt::Debug for MemberSpec {
     }
 }
 
-/// A grid of members plus a thread count, built incrementally or from
-/// the [`FleetSpec::grid`]/[`FleetSpec::seed_grid`] constructors.
-#[derive(Clone, Debug, Default)]
-pub struct FleetSpec {
-    members: Vec<MemberSpec>,
-    threads: usize,
-}
-
-impl FleetSpec {
-    /// An empty spec with the default thread count.
-    #[must_use]
-    pub fn new() -> FleetSpec {
-        FleetSpec::default()
-    }
-
-    /// One member per configuration, all sharing `program`.
-    pub fn grid(program: &Arc<Program>, cfgs: impl IntoIterator<Item = SimConfig>) -> FleetSpec {
-        let mut spec = FleetSpec::new();
-        for cfg in cfgs {
-            spec.push(MemberSpec::new(cfg, Arc::clone(program)));
-        }
-        spec
-    }
-
-    /// One member per seed: `base` with `cfg.seed` (and therefore the
-    /// replacement/noise RNG hierarchy) varied.
-    pub fn seed_grid(
-        base: SimConfig,
-        program: &Arc<Program>,
-        seeds: impl IntoIterator<Item = u64>,
-    ) -> FleetSpec {
-        FleetSpec::grid(
-            program,
-            seeds.into_iter().map(|seed| SimConfig { seed, ..base }),
-        )
-    }
-
-    /// Sets the thread count (0 = process default).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> FleetSpec {
-        self.threads = threads;
-        self
-    }
-
-    /// Appends a member.
-    pub fn push(&mut self, member: MemberSpec) -> &mut FleetSpec {
-        self.members.push(member);
-        self
-    }
-
-    /// Builder-style [`FleetSpec::push`].
-    #[must_use]
-    pub fn member(mut self, member: MemberSpec) -> FleetSpec {
-        self.members.push(member);
-        self
-    }
-
-    /// The members added so far.
-    #[must_use]
-    pub fn members(&self) -> &[MemberSpec] {
-        &self.members
-    }
-
-    /// Member count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the spec has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Builds the fleet (allocates and preps every machine).
-    #[must_use]
-    pub fn build(self) -> Fleet {
-        Fleet::new(self)
-    }
-}
-
 /// Why a member degraded: a structured simulator error, or a panic
 /// (captured so siblings keep running; the payload message is kept for
 /// the report).
@@ -318,184 +236,6 @@ impl From<SimError> for MemberError {
     }
 }
 
-/// A member's terminal result.
-pub type MemberOutcome = Result<SimStats, MemberError>;
-
-/// Lifecycle of one member inside a [`Fleet`].
-#[derive(Clone, Debug)]
-enum MemberStatus {
-    /// Still stepping (lockstep mode) or not yet run.
-    Running,
-    /// Halted normally with these final stats.
-    Done(SimStats),
-    /// Degraded; the machine is left at the failure point.
-    Failed(MemberError),
-}
-
-/// N machines advanced together: run-to-completion or lockstep batch
-/// stepping, work-stealing across threads, per-member outcome capture.
-#[derive(Debug)]
-pub struct Fleet {
-    specs: Vec<MemberSpec>,
-    machines: Vec<Machine>,
-    status: Vec<MemberStatus>,
-    threads: usize,
-}
-
-impl Fleet {
-    /// Allocates one machine per member — forked from the member's
-    /// checkpoint when one is attached, cold-built otherwise — loads
-    /// the shared program and runs each member's prep. A prep failure
-    /// (or panic) degrades that member immediately; its machine stays
-    /// constructed.
-    #[must_use]
-    pub fn new(spec: FleetSpec) -> Fleet {
-        let FleetSpec { members, threads } = spec;
-        let mut machines = Vec::with_capacity(members.len());
-        let mut status = Vec::with_capacity(members.len());
-        for member in &members {
-            let mut m = match &member.start {
-                Some(ck) => {
-                    let mut m = Machine::from_checkpoint(ck);
-                    apply_start_overrides(&mut m, member, ck);
-                    m
-                }
-                None => {
-                    let mut m = Machine::new(member.cfg);
-                    m.load_program(&member.program);
-                    m
-                }
-            };
-            let st = match run_prep(member, &mut m) {
-                Ok(()) => MemberStatus::Running,
-                Err(e) => MemberStatus::Failed(e),
-            };
-            machines.push(m);
-            status.push(st);
-        }
-        Fleet {
-            specs: members,
-            machines,
-            status,
-            threads,
-        }
-    }
-
-    /// Member count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Whether the fleet has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.machines.is_empty()
-    }
-
-    /// Members still running (not halted, not degraded).
-    #[must_use]
-    pub fn running(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| matches!(s, MemberStatus::Running))
-            .count()
-    }
-
-    /// Member `i`'s machine (read-only: receivers decode transcripts
-    /// from its memory and hierarchy).
-    #[must_use]
-    pub fn machine(&self, i: usize) -> &Machine {
-        &self.machines[i]
-    }
-
-    /// Member `i`'s terminal outcome, or `None` while it still runs.
-    #[must_use]
-    pub fn outcome(&self, i: usize) -> Option<Result<&SimStats, &MemberError>> {
-        match &self.status[i] {
-            MemberStatus::Running => None,
-            MemberStatus::Done(stats) => Some(Ok(stats)),
-            MemberStatus::Failed(e) => Some(Err(e)),
-        }
-    }
-
-    /// All terminal outcomes; members still running report a live
-    /// `Ok` snapshot of their stats so far.
-    #[must_use]
-    pub fn outcomes(&self) -> Vec<MemberOutcome> {
-        self.status
-            .iter()
-            .zip(&self.machines)
-            .map(|(s, m)| match s {
-                MemberStatus::Running => Ok(*m.stats()),
-                MemberStatus::Done(stats) => Ok(*stats),
-                MemberStatus::Failed(e) => Err(e.clone()),
-            })
-            .collect()
-    }
-
-    /// Grid-total statistics: the [`SimStats::merge`] reduction over
-    /// every non-degraded member (running members contribute their
-    /// stats so far). Degraded members are excluded — their partial
-    /// counters would skew grid averages.
-    #[must_use]
-    pub fn merged_stats(&self) -> SimStats {
-        let mut acc = SimStats::default();
-        for (s, m) in self.status.iter().zip(&self.machines) {
-            match s {
-                MemberStatus::Done(stats) => acc.merge(stats),
-                MemberStatus::Running => acc.merge(m.stats()),
-                MemberStatus::Failed(_) => {}
-            }
-        }
-        acc
-    }
-
-    /// Reduces each member's machine through `f` — the
-    /// receiver-transcript reduction hook (read timing buffers, cache
-    /// residency, registers) once the fleet has run.
-    pub fn map<R>(&self, mut f: impl FnMut(usize, &Machine) -> R) -> Vec<R> {
-        self.machines
-            .iter()
-            .enumerate()
-            .map(|(i, m)| f(i, m))
-            .collect()
-    }
-
-    /// Advances every running member by at most `steps` cycles
-    /// (lockstep batch stepping). Members that halt or fail mid-batch
-    /// stop there; siblings continue. With an effective thread count of
-    /// 1 this runs inline on the caller's thread and performs no
-    /// allocation — the steady-state fleet-stepping path audited by
-    /// `tests/zero_alloc.rs`.
-    pub fn step_batch(&mut self, steps: u64) {
-        let Fleet {
-            specs,
-            machines,
-            status,
-            threads,
-        } = self;
-        dispatch(specs, machines, status, *threads, |spec, m, st| {
-            advance(spec, m, st, Some(steps));
-        });
-    }
-
-    /// Runs every member to completion (halt, error, or its
-    /// `max_cycles` budget) and returns the per-member outcomes.
-    pub fn run_to_completion(&mut self) -> Vec<MemberOutcome> {
-        let Fleet {
-            specs,
-            machines,
-            status,
-            threads,
-        } = self;
-        dispatch(specs, machines, status, *threads, |spec, m, st| {
-            advance(spec, m, st, None);
-        });
-        self.outcomes()
-    }
-}
-
 /// Applies a forked member's per-trial config override after its
 /// machine has adopted the checkpoint. Only `cfg.noise` may legally
 /// differ from the checkpoint's config, and only on a cycle-0
@@ -519,98 +259,6 @@ fn apply_start_overrides(m: &mut Machine, spec: &MemberSpec, ck: &Checkpoint) {
         );
         m.set_noise(spec.cfg.noise);
     }
-}
-
-/// Runs a member's prep under panic capture.
-fn run_prep(spec: &MemberSpec, m: &mut Machine) -> Result<(), MemberError> {
-    let Some(prep) = &spec.prep else {
-        return Ok(());
-    };
-    match panic::catch_unwind(AssertUnwindSafe(|| prep(m))) {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => Err(MemberError::Sim(e)),
-        Err(p) => Err(MemberError::Panicked(panic_message(&*p))),
-    }
-}
-
-/// Advances one member: by `Some(steps)` cycles (lockstep) or to
-/// completion (`None`). Panics and `SimError`s degrade the member in
-/// its status slot.
-fn advance(spec: &MemberSpec, m: &mut Machine, status: &mut MemberStatus, budget: Option<u64>) {
-    if !matches!(status, MemberStatus::Running) {
-        return;
-    }
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| match budget {
-        Some(steps) => {
-            for _ in 0..steps {
-                if m.is_halted() {
-                    break;
-                }
-                if m.cycle() >= spec.max_cycles {
-                    return Some(Err(SimError::Timeout {
-                        cycles: spec.max_cycles,
-                    }));
-                }
-                if let Err(e) = m.step() {
-                    return Some(Err(e));
-                }
-            }
-            m.is_halted().then(|| Ok(*m.stats()))
-        }
-        None => Some(m.run(spec.max_cycles.saturating_sub(m.cycle()))),
-    }));
-    match outcome {
-        Ok(None) => {} // budget exhausted, still running
-        Ok(Some(Ok(stats))) => *status = MemberStatus::Done(stats),
-        Ok(Some(Err(e))) => *status = MemberStatus::Failed(MemberError::Sim(e)),
-        Err(p) => *status = MemberStatus::Failed(MemberError::Panicked(panic_message(&*p))),
-    }
-}
-
-/// Work-stealing dispatch over fleet members. Threads claim member
-/// indices from a shared atomic counter; each member's machine is owned
-/// by exactly one claimant (the per-slot mutex is uncontended — it
-/// exists to move `&mut` access across the scope boundary safely).
-/// An effective thread count of 1 runs inline with no spawning.
-fn dispatch<F>(
-    specs: &[MemberSpec],
-    machines: &mut [Machine],
-    status: &mut [MemberStatus],
-    threads: usize,
-    f: F,
-) where
-    F: Fn(&MemberSpec, &mut Machine, &mut MemberStatus) + Sync,
-{
-    let n = machines.len();
-    let threads = effective_threads(threads, n);
-    if threads <= 1 {
-        for i in 0..n {
-            f(&specs[i], &mut machines[i], &mut status[i]);
-        }
-        return;
-    }
-    let slots: Vec<Mutex<(&mut Machine, &mut MemberStatus)>> = machines
-        .iter_mut()
-        .zip(status.iter_mut())
-        .map(Mutex::new)
-        .collect();
-    let next = AtomicUsize::new(0);
-    let slots = &slots;
-    let next = &next;
-    let f = &f;
-    thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut guard = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-                let (m, st) = &mut *guard;
-                f(&specs[i], m, st);
-            });
-        }
-    });
 }
 
 /// A reusable pool of machines for [`trial_grid_pooled`]: one slot per
@@ -826,49 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn fleet_runs_members_to_completion() {
-        let prog = counting_program(50);
-        let spec = FleetSpec::seed_grid(SimConfig::default(), &prog, [1, 2, 3]).with_threads(2);
-        let mut fleet = spec.build();
-        let outcomes = fleet.run_to_completion();
-        assert_eq!(outcomes.len(), 3);
-        for o in &outcomes {
-            let stats = o.as_ref().expect("member completes");
-            assert!(stats.committed >= 100);
-        }
-        assert_eq!(fleet.running(), 0);
-        let merged = fleet.merged_stats();
-        let serial: SimStats = outcomes.iter().map(|o| o.as_ref().unwrap()).sum();
-        assert_eq!(merged, serial);
-    }
-
-    #[test]
-    fn lockstep_batches_match_run_to_completion() {
-        let prog = counting_program(100);
-        let grid = |threads| {
-            FleetSpec::seed_grid(SimConfig::default(), &prog, [7, 8]).with_threads(threads)
-        };
-        let mut stepped = grid(1).build();
-        while stepped.running() > 0 {
-            stepped.step_batch(64);
-        }
-        let mut direct = grid(2).build();
-        let outcomes = direct.run_to_completion();
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(
-                stepped.outcome(i).unwrap().copied().map_err(Clone::clone),
-                o.clone()
-            );
-        }
-    }
-
-    #[test]
     fn member_timeout_degrades_only_that_member() {
         let prog = counting_program(100_000);
         let short = MemberSpec::new(SimConfig::default(), Arc::clone(&prog)).with_max_cycles(64);
         let fine = MemberSpec::new(SimConfig::default(), Arc::clone(&prog));
-        let mut fleet = FleetSpec::new().member(short).member(fine).build();
-        let outcomes = fleet.run_to_completion();
+        let outcomes = trial_grid(&[short, fine], 2, |_, _, stats| stats);
         assert!(matches!(
             outcomes[0],
             Err(MemberError::Sim(SimError::Timeout { .. }))
@@ -1004,20 +614,6 @@ mod tests {
         assert_eq!(forked, serial, "fork-from-checkpoint == serial replay");
         // The interposed cold job ran its own program to completion.
         assert!(out[2].is_ok());
-
-        // Fleet dispatch takes the same start field.
-        let mut spec = FleetSpec::new().with_threads(2);
-        for v in 0..4u64 {
-            spec.push(
-                MemberSpec::new(cfg, Arc::clone(&prog))
-                    .with_start(Arc::clone(&ck))
-                    .with_prep(trial_prep(v * 7 + 1)),
-            );
-        }
-        let mut fleet = spec.build();
-        fleet.run_to_completion();
-        let fleet_vals = fleet.map(|_, m| m.mem().read_u64(0x2008).unwrap());
-        assert_eq!(fleet_vals, serial);
     }
 
     #[test]

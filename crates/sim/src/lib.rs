@@ -58,7 +58,7 @@ pub use event::{EventBus, PrefetchSource, SimEvent, SquashReason, StallReason};
 pub use func::{EmuError, Emulator};
 pub use duo::DuoMachine;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use fleet::{Fleet, FleetSpec, MachinePool, MemberError, MemberOutcome, MemberSpec};
+pub use fleet::{MachinePool, MemberError, MemberSpec};
 pub use machine::{Checkpoint, DeadlockDiagnostics, Machine, SimError};
 pub use mem::cache::{Cache, CacheConfig, CacheOutcome, Replacement};
 pub use mem::hierarchy::{Access, Hierarchy, MemLatency, PrefetchFill, ServedBy};

@@ -83,54 +83,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Adds every counter of `other` into `self`.
-    ///
-    /// This is the fleet reduction primitive: summing the stats of N
-    /// independent machines yields grid totals. `cycles` sums like any
-    /// other counter, so a merged value means "total simulated cycles
-    /// across members", not wall-clock — derived rates ([`Self::ipc`],
-    /// [`Self::l1_hit_rate`]) remain meaningful as grid-wide averages
-    /// weighted by member length.
-    pub fn merge(&mut self, other: &SimStats) {
-        macro_rules! add_fields {
-            ($($f:ident),* $(,)?) => { $( self.$f += other.$f; )* };
-        }
-        add_fields!(
-            cycles,
-            committed,
-            branch_squashes,
-            vp_squashes,
-            l1_hits,
-            l2_hits,
-            dram_accesses,
-            rename_stalls_prf,
-            sq_full_stalls,
-            backend_stalls,
-            silent_stores,
-            performed_stores,
-            ss_loads,
-            ss_no_port,
-            ss_late,
-            trivial_skips,
-            mul_skips,
-            mul_strength_reductions,
-            div_early_exits,
-            fp_subnormal_slow,
-            packed_pairs,
-            reuse_hits,
-            reuse_misses,
-            vp_predictions,
-            vp_correct,
-            rfc_shares,
-            dmp_prefetches,
-            dmp_deref_reads,
-            dmp_dropped,
-            cdp_prefetches,
-            faults_injected,
-            noise_events,
-        );
-    }
-
     /// Instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {
@@ -150,26 +102,6 @@ impl SimStats {
         } else {
             self.l1_hits as f64 / total as f64
         }
-    }
-}
-
-impl std::iter::Sum for SimStats {
-    fn sum<I: Iterator<Item = SimStats>>(iter: I) -> SimStats {
-        let mut acc = SimStats::default();
-        for s in iter {
-            acc.merge(&s);
-        }
-        acc
-    }
-}
-
-impl<'a> std::iter::Sum<&'a SimStats> for SimStats {
-    fn sum<I: Iterator<Item = &'a SimStats>>(iter: I) -> SimStats {
-        let mut acc = SimStats::default();
-        for s in iter {
-            acc.merge(s);
-        }
-        acc
     }
 }
 
@@ -254,113 +186,5 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(!SimStats::default().to_string().is_empty());
-    }
-
-    /// Every field participates in `merge`. The exhaustive literal (no
-    /// `..Default::default()`) means adding a counter breaks this test
-    /// at compile time until `merge`'s field list is extended; the
-    /// distinct nonzero values mean dropping a field from `merge`
-    /// breaks the doubling assertion at run time.
-    #[test]
-    fn merge_covers_every_field() {
-        let probe = SimStats {
-            cycles: 1,
-            committed: 2,
-            branch_squashes: 3,
-            vp_squashes: 4,
-            l1_hits: 5,
-            l2_hits: 6,
-            dram_accesses: 7,
-            rename_stalls_prf: 8,
-            sq_full_stalls: 9,
-            backend_stalls: 10,
-            silent_stores: 11,
-            performed_stores: 12,
-            ss_loads: 13,
-            ss_no_port: 14,
-            ss_late: 15,
-            trivial_skips: 16,
-            mul_skips: 17,
-            mul_strength_reductions: 18,
-            div_early_exits: 19,
-            fp_subnormal_slow: 20,
-            packed_pairs: 21,
-            reuse_hits: 22,
-            reuse_misses: 23,
-            vp_predictions: 24,
-            vp_correct: 25,
-            rfc_shares: 26,
-            dmp_prefetches: 27,
-            dmp_deref_reads: 28,
-            dmp_dropped: 29,
-            cdp_prefetches: 30,
-            faults_injected: 31,
-            noise_events: 32,
-        };
-        let mut doubled = probe;
-        doubled.merge(&probe);
-        // Field-wise doubling, checked without naming fields again:
-        // every field *value* in the Debug rendering must have doubled.
-        // Values follow ": " separators; field names (l1_hits, ...)
-        // contain digits and must not be parsed.
-        let nums = |s: &SimStats| -> Vec<u64> {
-            format!("{s:?}")
-                .split(": ")
-                .skip(1)
-                .map(|t| {
-                    t.chars()
-                        .take_while(char::is_ascii_digit)
-                        .collect::<String>()
-                        .parse::<u64>()
-                        .unwrap()
-                })
-                .collect()
-        };
-        let before = nums(&probe);
-        let after = nums(&doubled);
-        assert_eq!(before.len(), after.len());
-        assert!(before.iter().zip(&after).all(|(b, a)| *a == 2 * *b));
-    }
-
-    /// Merged stats equal serially accumulated ones: folding with
-    /// `merge` and summing with `Sum` agree field-for-field.
-    #[test]
-    fn sum_matches_serial_merge() {
-        let a = SimStats {
-            cycles: 100,
-            committed: 40,
-            l1_hits: 9,
-            silent_stores: 2,
-            ..SimStats::default()
-        };
-        let b = SimStats {
-            cycles: 250,
-            committed: 90,
-            l2_hits: 4,
-            noise_events: 6,
-            ..SimStats::default()
-        };
-        let c = SimStats {
-            cycles: 13,
-            dram_accesses: 5,
-            faults_injected: 1,
-            ..SimStats::default()
-        };
-        let mut serial = SimStats::default();
-        serial.merge(&a);
-        serial.merge(&b);
-        serial.merge(&c);
-        let summed: SimStats = [a, b, c].iter().sum();
-        assert_eq!(summed, serial);
-        assert_eq!(summed.cycles, 363);
-        assert_eq!(summed.committed, 130);
-        assert_eq!(summed.l1_hits, 9);
-        assert_eq!(summed.l2_hits, 4);
-        assert_eq!(summed.dram_accesses, 5);
-        assert_eq!(summed.silent_stores, 2);
-        assert_eq!(summed.noise_events, 6);
-        assert_eq!(summed.faults_injected, 1);
-        let owned: SimStats = [a, b, c].into_iter().sum();
-        assert_eq!(owned, serial);
     }
 }

@@ -19,8 +19,7 @@ use std::sync::Arc;
 use pandora_isa::{Asm, Program, Reg};
 use pandora_sim::fleet::{self, DEFAULT_MAX_CYCLES};
 use pandora_sim::{
-    FleetSpec, Machine, MemberError, MemberSpec, NoiseConfig, OptConfig, SimConfig, SimError,
-    SimStats,
+    Machine, MemberError, MemberSpec, NoiseConfig, OptConfig, SimConfig, SimError, SimStats,
 };
 
 /// A halting workload with enough memory traffic to exercise the cache
@@ -92,16 +91,11 @@ fn lone_run(cfg: SimConfig, program: &Program) -> SimStats {
 fn fleet_members_are_bit_equal_to_lone_machines() {
     let program = Arc::new(sweep_program(48));
     let cfgs = mixed_cfgs();
-
-    let mut spec = FleetSpec::new().with_threads(4);
-    for &cfg in &cfgs {
-        spec.push(
-            MemberSpec::new(cfg, Arc::clone(&program))
-                .with_prep(prep),
-        );
-    }
-    let mut fleet = spec.build();
-    let outcomes = fleet.run_to_completion();
+    let jobs: Vec<MemberSpec> = cfgs
+        .iter()
+        .map(|&cfg| MemberSpec::new(cfg, Arc::clone(&program)).with_prep(prep))
+        .collect();
+    let outcomes = fleet::trial_grid(&jobs, 4, |_, _, stats| stats);
 
     assert_eq!(outcomes.len(), cfgs.len());
     for (i, (&cfg, outcome)) in cfgs.iter().zip(&outcomes).enumerate() {
@@ -115,11 +109,6 @@ fn fleet_members_are_bit_equal_to_lone_machines() {
             cfg.seed, cfg.noise.evict_permille,
         );
     }
-
-    // The reduction side of the contract: merged_stats is exactly the
-    // serial Sum over the member outcomes.
-    let serial: SimStats = outcomes.iter().map(|o| o.as_ref().unwrap()).sum();
-    assert_eq!(fleet.merged_stats(), serial);
 }
 
 #[test]
@@ -309,14 +298,9 @@ fn one_member_failing_degrades_only_that_member() {
         .with_prep(prep)
         .with_max_cycles(16);
 
-    let mut fleet = FleetSpec::new()
-        .member(good.clone())
-        .member(panicking)
-        .member(timing_out)
-        .member(good)
-        .with_threads(2)
-        .build();
-    let outcomes = fleet.run_to_completion();
+    let outcomes = fleet::trial_grid(&[good.clone(), panicking, timing_out, good], 2, |_, _, stats| {
+        stats
+    });
 
     let healthy = outcomes[0].as_ref().expect("first member completes");
     assert!(
@@ -332,10 +316,4 @@ fn one_member_failing_degrades_only_that_member() {
     // The sibling after the failures is untouched — bit-equal to the
     // member that ran before them.
     assert_eq!(outcomes[3].as_ref().expect("last member completes"), healthy);
-    // And the degraded members are excluded from the grid reduction.
-    let merged = fleet.merged_stats();
-    let mut expect = SimStats::default();
-    expect.merge(healthy);
-    expect.merge(healthy);
-    assert_eq!(merged, expect);
 }

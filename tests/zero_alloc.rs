@@ -24,10 +24,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pandora_bench::perf::{
-    fig5_noisy_config, fig5_quiet_config, fig5_step_machine, fig5_step_program, warmup,
+    fig5_noisy_config, fig5_quiet_config, fig5_step_machine, warmup,
     NOISY_WARMUP_STEPS, QUIET_WARMUP_STEPS,
 };
-use pandora_sim::{FleetSpec, Machine};
+use pandora_isa::{Asm, Reg};
+use pandora_sim::fleet::{self, MachinePool};
+use pandora_sim::{Machine, MemberSpec, SimConfig};
 
 /// System allocator wrapper that counts every allocation event.
 /// Deallocations are deliberately not counted: freeing during
@@ -65,6 +67,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 const MEASURED_STEPS: u64 = 10_000;
+
+/// Where the fleet leg's counting loop reads its iteration count.
+const COUNT_ADDR: u64 = 0x2000;
 
 fn allocs_now() -> u64 {
     ALLOC.allocs.load(Ordering::Relaxed)
@@ -138,28 +143,51 @@ fn steady_state_step_is_allocation_free() {
          steady-state steps — restore must reuse every buffer at its captured high-water mark"
     );
 
-    // Fleet leg: lockstep batch stepping through `Fleet::step_batch`
-    // with an effective thread count of 1 runs inline on the caller's
-    // thread (no spawning, no result buffers) and must inherit the
-    // machines' allocation-free steady state — the fleet adds *zero*
-    // per-batch overhead on the single-thread dispatch path that
-    // `--fleet-threads 1` and nested-parallelism callers use.
-    let program = Arc::new(fig5_step_program());
-    let mut fleet = FleetSpec::seed_grid(
-        fig5_quiet_config(),
-        &program,
-        [0, 1],
-    )
-    .with_threads(1)
-    .build();
-    fleet.step_batch(QUIET_WARMUP_STEPS);
-    let before_fleet = allocs_now();
-    fleet.step_batch(MEASURED_STEPS);
-    let fleet_allocs = allocs_now() - before_fleet;
-    assert_eq!(fleet.running(), 2, "fleet step workloads must never halt");
+    // Fleet leg: `trial_grid_pooled` at threads = 1 runs inline on the
+    // caller's thread against a warmed pool. Per call it may allocate
+    // (the result vector, machine recycling), but stepping inside it
+    // must not: a repeat call allocates exactly as often whether each
+    // trial counts down a short loop or one ten times longer.
+    let counting = Arc::new({
+        let mut a = Asm::new();
+        a.ld(Reg::T0, Reg::ZERO, COUNT_ADDR as i64);
+        a.label("loop");
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, "loop");
+        a.halt();
+        a.assemble().expect("counting loop assembles")
+    });
+    let jobs = |iters: u64| -> Vec<MemberSpec> {
+        (0..2)
+            .map(|seed| {
+                MemberSpec::new(SimConfig { seed, ..fig5_quiet_config() }, Arc::clone(&counting))
+                    .with_prep(move |m| {
+                        m.mem_mut().write_u64(COUNT_ADDR, iters).expect("count is mapped");
+                        Ok(())
+                    })
+            })
+            .collect()
+    };
+    let (short, long) = (jobs(1_000), jobs(10_000));
+    let mut pool = MachinePool::default();
+    let mut pooled = |jobs: &[MemberSpec]| -> (u64, u64) {
+        let before = allocs_now();
+        let out = fleet::trial_grid_pooled(&mut pool, jobs, 1, |_, _, stats| stats.committed);
+        let allocs = allocs_now() - before;
+        let committed = out.into_iter().map(|r| r.expect("counting trial halts")).sum();
+        (allocs, committed)
+    };
+    pooled(&long);
+    pooled(&short);
+    let (short_allocs, short_committed) = pooled(&short);
+    let (long_allocs, long_committed) = pooled(&long);
+    assert!(
+        long_committed > 9 * short_committed,
+        "the long trials must step ~10x more: {long_committed} vs {short_committed} committed"
+    );
     assert_eq!(
-        fleet_allocs, 0,
-        "Fleet::step_batch (threads=1) allocated {fleet_allocs} times across {MEASURED_STEPS} \
-         lockstep steps of 2 members — inline dispatch must stay allocation-free"
+        long_allocs, short_allocs,
+        "trial_grid_pooled (threads=1) allocated {long_allocs} times for 10x longer trials vs \
+         {short_allocs} for short ones — stepping inside a pooled trial must stay allocation-free"
     );
 }
