@@ -43,6 +43,17 @@ const DELAY_ADDR: u64 = 0x8_0000;
 const NOISE_BASE: u64 = VICTIM_BASE;
 const NOISE_SPAN: u64 = 0x800;
 
+/// Applies a run's cycle-0 environment: optional cache preconditioning
+/// and an optional fault plan.
+fn disturb(m: &mut Machine, noise_seed: Option<u64>, fault_plan: Option<&FaultPlan>) {
+    if let Some(seed) = noise_seed {
+        precondition_noise(m, seed, 4, NOISE_BASE, NOISE_SPAN);
+    }
+    if let Some(plan) = fault_plan {
+        m.inject_faults(plan.clone());
+    }
+}
+
 /// One measured experiment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RunOutcome {
@@ -94,6 +105,8 @@ pub struct BsaesAttack {
     /// The two-request program, built once and shared (by reference)
     /// with every fleet member measuring a guess.
     program: Arc<Program>,
+    /// Index of the attacker request's first instruction in `program`.
+    attacker_entry: usize,
     /// Fault plan installed on every measuring machine (noise
     /// injection for robustness experiments).
     fault_plan: Option<FaultPlan>,
@@ -160,7 +173,7 @@ impl BsaesAttack {
         let gadget = AmplifyGadget::new(&cfg, target_addr, DELAY_ADDR, FlushKind::Contention);
         let attacker_rk = RoundKeys::expand(&attacker_key);
         let nominal = bitslice::final_subbytes_slices(&attacker_rk, &[0u8; 16]);
-        let program = BsaesAttack::build_program_for(
+        let (program, attacker_entry) = BsaesAttack::build_program_for(
             &lay_victim,
             &lay_attacker,
             target_slice,
@@ -177,6 +190,7 @@ impl BsaesAttack {
             gadget,
             nominal,
             program: Arc::new(program),
+            attacker_entry,
             fault_plan: None,
             fleet_threads: 0,
         }
@@ -233,15 +247,17 @@ impl BsaesAttack {
 
     /// Builds the two-request program: victim encryption (no gadget),
     /// then attacker encryption with the amplification gadget on the
-    /// target spill store.
+    /// target spill store. Also returns the attacker request's entry
+    /// pc, where every guess's run stops sharing a prefix.
     fn build_program_for(
         lay_victim: &BsaesLayout,
         lay_attacker: &BsaesLayout,
         target: usize,
         gadget: Option<&AmplifyGadget>,
-    ) -> Program {
+    ) -> (Program, usize) {
         let mut a = Asm::new();
         emit_encrypt(&mut a, lay_victim, |_, _, _| {});
+        let attacker_entry = a.here();
         emit_encrypt(&mut a, lay_attacker, |asm, point, k| {
             if k == target {
                 if let Some(gadget) = gadget {
@@ -253,7 +269,10 @@ impl BsaesAttack {
             }
         });
         a.halt();
-        a.assemble().expect("attack program assembles")
+        (
+            a.assemble().expect("attack program assembles"),
+            attacker_entry,
+        )
     }
 
     /// Runs one experiment with the given attacker plaintext.
@@ -306,15 +325,45 @@ impl BsaesAttack {
         Arc::new(warm.snapshot())
     }
 
+    /// The checkpoint a group of jobs sharing `(cfg, noise_seed)`
+    /// forks from: the warm state under the group's environment, run
+    /// until fetch reaches the attacker request. Nothing before that
+    /// point reads the attacker plaintext (the program is straight-line
+    /// and the caches track tags only), so every guess of the group is
+    /// identical up to here.
+    ///
+    /// # Errors
+    ///
+    /// The prefix run's [`SimError`] — the error every job of the group
+    /// would have hit on its own.
+    fn prefix_checkpoint(
+        &self,
+        warm: &Checkpoint,
+        cfg: SimConfig,
+        noise_seed: Option<u64>,
+    ) -> Result<Arc<Checkpoint>, SimError> {
+        let mut m = Machine::from_checkpoint(warm);
+        if cfg.noise != warm.config().noise {
+            m.set_noise(cfg.noise);
+        }
+        disturb(&mut m, noise_seed, self.fault_plan.as_ref());
+        m.run_until_fetched(self.attacker_entry, fleet::DEFAULT_MAX_CYCLES)?;
+        Ok(Arc::new(m.snapshot()))
+    }
+
     /// Runs one experiment per `(config, attacker plaintext, noise
-    /// seed)` job as a fleet grid: the shared scenario state (round
-    /// keys, victim plaintext, gadget working set) is written once
-    /// into a warm cycle-0 [`Checkpoint`] and every member forks from
-    /// it, applying only its per-trial delta — the attacker plaintext,
-    /// optional cache preconditioning, and optional fault plan — on a
-    /// recycled pool machine. Outcomes come back in job order
-    /// regardless of the thread count; a failed run yields `Err` in
-    /// its own slot without disturbing sibling experiments.
+    /// seed)` job as a fleet grid. The shared scenario state (round
+    /// keys, victim plaintext, gadget working set) is written once into
+    /// a warm cycle-0 [`Checkpoint`]. Jobs that share `(config, noise
+    /// seed)` also share the whole victim request, so each such group
+    /// runs it once ([`BsaesAttack::prefix_checkpoint`]) and its
+    /// members fork after it, writing only their attacker plaintext; a
+    /// group whose prefix fails hands that error to every member. A
+    /// job alone in its group forks from the cycle-0 checkpoint and
+    /// applies its whole delta — attacker plaintext, cache
+    /// preconditioning, fault plan — itself. Outcomes come back in job
+    /// order regardless of the thread count; a failed run yields `Err`
+    /// in its own slot without disturbing sibling experiments.
     ///
     /// # Panics
     ///
@@ -325,30 +374,48 @@ impl BsaesAttack {
         jobs: &[(SimConfig, Block, Option<u64>)],
     ) -> Vec<Result<RunOutcome, SimError>> {
         let warm = self.warm_checkpoint();
-        let specs: Vec<MemberSpec> = jobs
+        let mut keys: Vec<(SimConfig, Option<u64>, usize)> = Vec::new();
+        let group: Vec<usize> = jobs
             .iter()
-            .map(|&(cfg, attacker_pt, noise_seed)| {
-                let attacker_pt_addr = self.lay_attacker.pt;
-                let fault_plan = self.fault_plan.clone();
-                MemberSpec::new(cfg, Arc::clone(&self.program))
-                    .with_start(Arc::clone(&warm))
-                    .with_max_cycles(50_000_000)
-                    .with_prep(move |m| {
-                        m.mem_mut()
-                            .write_bytes(attacker_pt_addr, &attacker_pt)
-                            .expect("attacker plaintext in memory");
-                        if let Some(seed) = noise_seed {
-                            precondition_noise(m, seed, 4, NOISE_BASE, NOISE_SPAN);
-                        }
-                        if let Some(plan) = &fault_plan {
-                            m.inject_faults(plan.clone());
-                        }
-                        Ok(())
-                    })
+            .map(|&(cfg, _, seed)| {
+                if let Some(g) = keys.iter().position(|k| k.0 == cfg && k.1 == seed) {
+                    keys[g].2 += 1;
+                    return g;
+                }
+                keys.push((cfg, seed, 1));
+                keys.len() - 1
             })
             .collect();
+        let prefixes: Vec<Option<Result<Arc<Checkpoint>, SimError>>> = keys
+            .iter()
+            .map(|&(cfg, seed, n)| (n >= 2).then(|| self.prefix_checkpoint(&warm, cfg, seed)))
+            .collect();
+
+        let mut specs = Vec::new();
+        let pt_addr = self.lay_attacker.pt;
+        for (i, &(cfg, attacker_pt, noise_seed)) in jobs.iter().enumerate() {
+            // A prefix-forked job's environment is already in its start.
+            let (start, env) = match &prefixes[group[i]] {
+                Some(Err(_)) => continue,
+                Some(Ok(prefix)) => (prefix, None),
+                None => (&warm, Some((noise_seed, self.fault_plan.clone()))),
+            };
+            specs.push(
+                MemberSpec::new(cfg, Arc::clone(&self.program))
+                    .with_start(Arc::clone(start))
+                    .with_prep(move |m| {
+                        m.mem_mut()
+                            .write_bytes(pt_addr, &attacker_pt)
+                            .expect("attacker plaintext in memory");
+                        if let Some((seed, plan)) = &env {
+                            disturb(m, *seed, plan.as_ref());
+                        }
+                        Ok(())
+                    }),
+            );
+        }
         let ct_addr = self.lay_victim.ct;
-        fleet::trial_grid(&specs, self.fleet_threads, move |_, m, stats| {
+        let mut ran = fleet::trial_grid(&specs, self.fleet_threads, move |_, m, stats| {
             let mut victim_ct = [0u8; 16];
             victim_ct.copy_from_slice(m.mem().read_bytes(ct_addr, 16).expect("ct"));
             RunOutcome {
@@ -356,9 +423,17 @@ impl BsaesAttack {
                 victim_ct,
             }
         })
-        .into_iter()
-        .map(|r| r.map_err(MemberError::unwrap_sim))
-        .collect()
+        .into_iter();
+        group
+            .iter()
+            .map(|&g| match &prefixes[g] {
+                Some(Err(e)) => Err(e.clone()),
+                _ => ran
+                    .next()
+                    .expect("one outcome per dispatched job")
+                    .map_err(MemberError::unwrap_sim),
+            })
+            .collect()
     }
 
     /// Measures a whole batch of guesses as one fleet grid (shared
@@ -416,40 +491,45 @@ impl BsaesAttack {
         guesses: impl IntoIterator<Item = u16>,
         min_gap: u64,
     ) -> Option<u16> {
+        self.recover_slice_outcome(guesses, min_gap).map(|(g, _)| g)
+    }
+
+    /// [`BsaesAttack::recover_slice`], also returning the winning
+    /// guess's measured outcome.
+    fn recover_slice_outcome(
+        &self,
+        guesses: impl IntoIterator<Item = u16>,
+        min_gap: u64,
+    ) -> Option<(u16, RunOutcome)> {
         let jobs: Vec<GuessJob> = guesses.into_iter().map(GuessJob::new).collect();
         let outs = self
             .measure_guess_grid(&jobs)
             .expect("attack experiment completed abnormally");
-        BsaesAttack::gap_checked_argmin(
-            jobs.iter().map(|j| j.guess).zip(outs.iter().map(|o| o.cycles)),
-            min_gap,
-        )
+        let i = BsaesAttack::gap_checked_argmin(&outs, min_gap)?;
+        Some((jobs[i].guess, outs[i]))
     }
 
     /// The recovery decision rule shared by every slice driver: the
-    /// guess with the minimum runtime, provided the runner-up is at
-    /// least `min_gap` cycles slower.
-    fn gap_checked_argmin(
-        samples: impl IntoIterator<Item = (u16, u64)>,
-        min_gap: u64,
-    ) -> Option<u16> {
-        let mut best: Option<(u16, u64)> = None;
+    /// index of the minimum runtime, provided the runner-up is at least
+    /// `min_gap` cycles slower.
+    fn gap_checked_argmin(outs: &[RunOutcome], min_gap: u64) -> Option<usize> {
+        let mut best: Option<(usize, u64)> = None;
         let mut second: Option<u64> = None;
-        for (g, t) in samples {
+        for (i, t) in outs.iter().map(|o| o.cycles).enumerate() {
             match best {
-                None => best = Some((g, t)),
+                None => best = Some((i, t)),
                 Some((_, bt)) if t < bt => {
                     second = Some(bt);
-                    best = Some((g, t));
+                    best = Some((i, t));
                 }
                 Some(_) => {
                     second = Some(second.map_or(t, |s| s.min(t)));
                 }
             }
         }
-        let (g, t) = best?;
+        let (i, t) = best?;
         match second {
-            Some(s) if s >= t + min_gap => Some(g),
+            Some(s) if s >= t + min_gap => Some(i),
             _ => None,
         }
     }
@@ -483,13 +563,7 @@ impl BsaesAttack {
                 .collect();
             atk.run_grid(&jobs)
         })?;
-        Ok(BsaesAttack::gap_checked_argmin(
-            guesses
-                .iter()
-                .copied()
-                .zip(outs.iter().map(|o| o.cycles)),
-            min_gap,
-        ))
+        Ok(BsaesAttack::gap_checked_argmin(&outs, min_gap).map(|i| guesses[i]))
     }
 
     /// Noise-tolerant [`BsaesAttack::recover_slice`]: runs the whole
@@ -518,6 +592,19 @@ impl BsaesAttack {
         min_gap: u64,
         redundancy: usize,
     ) -> Result<Option<u16>, SimError> {
+        Ok(self
+            .recover_slice_vote_outcome(guesses, min_gap, redundancy)?
+            .map(|(g, _)| g))
+    }
+
+    /// [`BsaesAttack::recover_slice_vote`], also returning the elected
+    /// guess's outcome from the first round.
+    fn recover_slice_vote_outcome(
+        &self,
+        guesses: &[u16],
+        min_gap: u64,
+        redundancy: usize,
+    ) -> Result<Option<(u16, RunOutcome)>, SimError> {
         if guesses.is_empty() {
             return Ok(None);
         }
@@ -540,17 +627,15 @@ impl BsaesAttack {
         let outs: Vec<RunOutcome> = self.run_grid(&jobs).into_iter().collect::<Result<_, _>>()?;
         let votes: Vec<Option<u16>> = outs
             .chunks(guesses.len())
-            .map(|round| {
-                BsaesAttack::gap_checked_argmin(
-                    guesses
-                        .iter()
-                        .copied()
-                        .zip(round.iter().map(|o| o.cycles)),
-                    min_gap,
-                )
-            })
+            .map(|round| BsaesAttack::gap_checked_argmin(round, min_gap).map(|i| guesses[i]))
             .collect();
-        Ok(majority_vote(&votes))
+        Ok(majority_vote(&votes).map(|g| {
+            let i = guesses
+                .iter()
+                .position(|&x| x == g)
+                .expect("elected guess was measured");
+            (g, outs[i])
+        }))
     }
 
     /// Noise-tolerant [`BsaesAttack::recover_key`]: every slice is
@@ -560,7 +645,6 @@ impl BsaesAttack {
     /// # Errors
     ///
     /// The first measuring run that fails outright.
-    #[allow(clippy::needless_range_loop)]
     pub fn recover_key_vote(
         &self,
         window: impl Fn(usize) -> Vec<u16>,
@@ -568,8 +652,8 @@ impl BsaesAttack {
         redundancy: usize,
     ) -> Result<Option<Block>, SimError> {
         let mut slices = [0u16; 8];
-        let mut victim_ct = None;
-        for k in 0..8 {
+        let mut victim_ct = [0u8; 16];
+        for (k, slice) in slices.iter_mut().enumerate() {
             let mut per_slice = BsaesAttack::new(
                 self.victim_rk.master_key(),
                 self.attacker_rk.master_key(),
@@ -581,18 +665,17 @@ impl BsaesAttack {
             let mut noise = self.cfg.noise;
             noise.seed = noise.seed.wrapping_add(k as u64 * 0x5851_f42d_4c95_7f2d);
             per_slice.set_noise(noise);
-            let Some(g) = per_slice.recover_slice_vote(&window(k), min_gap, redundancy)? else {
+            let Some((g, out)) =
+                per_slice.recover_slice_vote_outcome(&window(k), min_gap, redundancy)?
+            else {
                 return Ok(None);
             };
-            slices[k] = g;
-            if victim_ct.is_none() {
-                victim_ct = Some(per_slice.try_measure_guess(g, None)?.victim_ct);
-            }
+            *slice = g;
+            // The victim request finishes before the attacker's starts,
+            // so every outcome carries the same victim ciphertext.
+            victim_ct = out.victim_ct;
         }
-        let state = bitslice::unbitslice(&slices);
-        let Some(ct) = victim_ct else { return Ok(None) };
-        let k10 = aes_ref::round10_key_from_leak(&state, &ct);
-        Ok(Some(RoundKeys::from_round10(&k10).master_key()))
+        Ok(Some(BsaesAttack::key_from_leak(&slices, &victim_ct)))
     }
 
     /// The full key-recovery pipeline over per-slice guess windows:
@@ -602,30 +685,34 @@ impl BsaesAttack {
     ///
     /// `window` maps each slice index to the guesses to try.
     #[must_use]
-    #[allow(clippy::needless_range_loop)]
     pub fn recover_key(
         &self,
         window: impl Fn(usize) -> Vec<u16>,
         min_gap: u64,
     ) -> Option<Block> {
         let mut slices = [0u16; 8];
-        let mut victim_ct = None;
-        for k in 0..8 {
+        let mut victim_ct = [0u8; 16];
+        for (k, slice) in slices.iter_mut().enumerate() {
             let per_slice = BsaesAttack::new(
                 self.victim_rk.master_key(),
                 self.attacker_rk.master_key(),
                 self.victim_pt,
                 k,
             );
-            let g = per_slice.recover_slice(window(k), min_gap)?;
-            slices[k] = g;
-            if victim_ct.is_none() {
-                victim_ct = Some(per_slice.measure_guess(g, None).victim_ct);
-            }
+            let (g, out) = per_slice.recover_slice_outcome(window(k), min_gap)?;
+            *slice = g;
+            // Same in every outcome: see `recover_key_vote`.
+            victim_ct = out.victim_ct;
         }
-        let state = bitslice::unbitslice(&slices);
-        let k10 = aes_ref::round10_key_from_leak(&state, &victim_ct?);
-        Some(RoundKeys::from_round10(&k10).master_key())
+        Some(BsaesAttack::key_from_leak(&slices, &victim_ct))
+    }
+
+    /// The master key from the recovered final-SubBytes slices and the
+    /// victim's ciphertext.
+    fn key_from_leak(slices: &Slices, victim_ct: &Block) -> Block {
+        let state = bitslice::unbitslice(slices);
+        let k10 = aes_ref::round10_key_from_leak(&state, victim_ct);
+        RoundKeys::from_round10(&k10).master_key()
     }
 }
 

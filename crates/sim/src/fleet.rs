@@ -152,7 +152,10 @@ impl MemberSpec {
     /// `cfg` must equal the checkpoint's config, except `cfg.noise`
     /// which may differ when the checkpoint was taken at cycle 0 (no
     /// noise drawn yet, so swapping the noise hook is bit-equal to
-    /// fresh construction).
+    /// fresh construction). A mid-run checkpoint (cycle > 0) is keyed
+    /// by the *full* config, noise included: its prefix has already
+    /// drawn from the noise streams, so only members whose config
+    /// equals the checkpoint's may fork from it.
     #[must_use]
     pub fn with_start(mut self, start: Arc<Checkpoint>) -> MemberSpec {
         self.start = Some(start);
@@ -302,7 +305,15 @@ impl PoolSlot {
             if let Some(prep) = &spec.prep {
                 prep(m)?;
             }
-            m.run(spec.max_cycles.saturating_sub(m.cycle()))?;
+            // The budget counts the checkpoint's cycles, so a timeout
+            // reports the member's whole budget, as a straight run does.
+            m.run(spec.max_cycles.saturating_sub(m.cycle()))
+                .map_err(|e| match e {
+                    SimError::Timeout { .. } => SimError::Timeout {
+                        cycles: spec.max_cycles,
+                    },
+                    e => e,
+                })?;
             return Ok(*m.stats());
         }
         let kept = match &mut self.machine {
@@ -626,10 +637,11 @@ mod tests {
             .with_start(Arc::clone(&ck))
             .with_max_cycles(64);
         let out = trial_grid(std::slice::from_ref(&job), 1, |_, _, s| s.cycles);
-        assert!(
-            matches!(&out[0], Err(MemberError::Sim(SimError::Timeout { .. }))),
-            "budget below the checkpoint cycle must time out, got {:?}",
-            out[0]
+        assert_eq!(
+            out[0],
+            Err(MemberError::Sim(SimError::Timeout { cycles: 64 })),
+            "budget below the checkpoint cycle must time out with the \
+             member's whole budget, as a straight run reports it"
         );
     }
 

@@ -343,6 +343,31 @@ impl Machine {
         Ok(())
     }
 
+    /// Runs until fetch has fetched instruction `pc` (or the machine
+    /// halts), up to `max_cycles` additional cycles — the counterpart
+    /// of [`Machine::run_until_committed`] for forking *before* an
+    /// instruction rather than after one. Rename ticks before fetch
+    /// within a cycle, so when this returns `pc` sits in the fetch
+    /// buffer: it has not been renamed or executed, and neither has
+    /// anything fetched after it. State that only `pc` and its
+    /// successors read (a plaintext buffer, say) may therefore still be
+    /// written after a [`Machine::snapshot`] taken here.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Timeout`] if the budget runs out first; otherwise
+    /// as [`Machine::run`].
+    pub fn run_until_fetched(&mut self, pc: usize, max_cycles: u64) -> Result<(), SimError> {
+        let limit = self.state.cycle + max_cycles;
+        while !self.state.halted && !self.state.fetch_buf.iter().any(|&(p, ..)| p == pc) {
+            if self.state.cycle >= limit {
+                return Err(SimError::Timeout { cycles: max_cycles });
+            }
+            self.step()?;
+        }
+        Ok(())
+    }
+
     /// Two-tier execution: runs the program prefix up to `boundary_pc`
     /// on the functional [`Emulator`] (timing-free, ~100× cheaper per
     /// instruction) and seeds a fresh pipeline machine from the
@@ -544,6 +569,50 @@ mod tests {
             assert_eq!(forked, want, "restore resumes bit-equal (cfg {cfg:?})");
             assert_eq!(dirty.mem().read_u64(0x9000).unwrap(), 0);
         }
+    }
+
+    #[test]
+    fn fork_at_fetch_then_write_equals_write_before_straight_run() {
+        // A straight-line prefix of cache-missing loads and stores, then
+        // a tail that reads a word written only after the fork.
+        let mut a = Asm::new();
+        for i in 0..24 {
+            a.ld(Reg::T1, Reg::ZERO, 0x4000 + 64 * i);
+            a.add(Reg::T0, Reg::T0, Reg::T1);
+            a.sd(Reg::T0, Reg::ZERO, 0x6000 + 64 * i);
+        }
+        let tail = a.here();
+        a.ld(Reg::T2, Reg::ZERO, 0x5000);
+        a.add(Reg::T3, Reg::T2, Reg::T2);
+        a.sd(Reg::T3, Reg::ZERO, 0x5008);
+        a.halt();
+        let prog = a.assemble().unwrap();
+
+        for cfg in [SimConfig::default(), noisy_cfg()] {
+            let mut straight = Machine::new(cfg);
+            straight.load_program(&prog);
+            straight.mem_mut().write_u64(0x5000, 21).unwrap();
+            let want = straight.run(1_000_000).unwrap();
+
+            let mut m = Machine::new(cfg);
+            m.load_program(&prog);
+            m.run_until_fetched(tail, 1_000_000).unwrap();
+            assert!(m.cycle() > 3 && !m.is_halted());
+            assert!(m.stats().committed < tail as u64, "the tail has not run");
+            let ck = m.snapshot();
+            let mut forked = Machine::from_checkpoint(&ck);
+            forked.mem_mut().write_u64(0x5000, 21).unwrap();
+            assert_eq!(forked.run(1_000_000).unwrap(), want, "cfg {cfg:?}");
+            assert_eq!(forked.mem().read_u64(0x5008).unwrap(), 42);
+        }
+
+        // The budget is enforced like run_until_committed's.
+        let mut m = Machine::new(SimConfig::default());
+        m.load_program(&prog);
+        assert_eq!(
+            m.run_until_fetched(tail, 3),
+            Err(SimError::Timeout { cycles: 3 })
+        );
     }
 
     #[test]

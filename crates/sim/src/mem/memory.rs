@@ -39,7 +39,7 @@ impl std::error::Error for MemFault {}
 /// assert_eq!(m.read_u64(16).unwrap(), 0xdead_beef);
 /// assert!(m.read_u64(4090).is_err());
 /// ```
-#[derive(Clone, Eq)]
+#[derive(Eq)]
 pub struct Memory {
     bytes: Vec<u8>,
     /// Exclusive upper bound of bytes that may be nonzero — the
@@ -61,6 +61,26 @@ impl fmt::Debug for Memory {
             .field("size", &self.bytes.len())
             .field("dirty_hi", &self.dirty_hi)
             .finish()
+    }
+}
+
+/// Cloning copies only the dirty prefix: the clone's backing store is a
+/// fresh zeroed allocation (pages the OS hands out on first touch), and
+/// bytes at or above `dirty_hi` are zero by invariant. A checkpoint of a
+/// 4 MiB machine that dirtied half a megabyte therefore costs half a
+/// megabyte of copying and resident memory, not four.
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        let mut bytes = vec![0; self.bytes.len()];
+        bytes[..self.dirty_hi].copy_from_slice(&self.bytes[..self.dirty_hi]);
+        Memory {
+            bytes,
+            dirty_hi: self.dirty_hi,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Memory) {
+        self.restore_from(src);
     }
 }
 
@@ -366,6 +386,31 @@ mod tests {
         assert_eq!(other.size(), 1 << 16);
         assert_eq!(other, ck);
         assert_eq!(other.dirty_hi(), ck.dirty_hi());
+    }
+
+    #[test]
+    fn clone_copies_the_dirty_prefix_and_keeps_the_mark() {
+        let mut m = Memory::new(1 << 16);
+        m.write_u64(0x100, 0x00c0_ffee).unwrap();
+        m.write_bytes(0x2000, &[0x5a; 40]).unwrap();
+        let c = m.clone();
+        assert_eq!(c, m, "clone equals the original");
+        assert_eq!(c.dirty_hi(), 0x2028, "clone keeps the mark");
+        assert!(
+            c.read_bytes(0x2028, (1 << 16) - 0x2028)
+                .unwrap()
+                .iter()
+                .all(|&b| b == 0),
+            "bytes above the mark are zero"
+        );
+
+        // clone_from is a restore: it adopts contents and mark and
+        // zeroes the stale tail of the destination.
+        let mut d = Memory::new(1 << 16);
+        d.write_bytes(0x8000, &[0xaa; 16]).unwrap();
+        d.clone_from(&m);
+        assert_eq!(d, m);
+        assert_eq!(d.dirty_hi(), m.dirty_hi());
     }
 
     #[test]
