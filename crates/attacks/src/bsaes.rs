@@ -88,6 +88,41 @@ impl GuessJob {
     }
 }
 
+/// The per-round decodes of one repetition-coded slice sweep
+/// ([`BsaesAttack::slice_votes`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SliceVotes {
+    /// Each round's gap-checked argmin, round 0 first; `None` where no
+    /// guess won by the gap. Empty for an empty window.
+    pub votes: Vec<Option<u16>>,
+    /// The victim's ciphertext; `None` when the window is empty.
+    pub victim_ct: Option<Block>,
+}
+
+/// The per-round decodes of all eight slices
+/// ([`BsaesAttack::key_votes`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct KeyVotes {
+    /// Row `k` holds slice `k`'s rounds.
+    pub slices: [SliceVotes; 8],
+}
+
+impl KeyVotes {
+    /// The key the majority vote recovers: each slice's
+    /// [`majority_vote`], then the round-10 key from the victim
+    /// ciphertext and the inverted key schedule. `None` if any slice
+    /// has no majority.
+    #[must_use]
+    pub fn key(&self) -> Option<Block> {
+        let mut slices = [0u16; 8];
+        for (slice, row) in slices.iter_mut().zip(&self.slices) {
+            *slice = majority_vote(&row.votes)?;
+        }
+        let victim_ct = self.slices[0].victim_ct?;
+        Some(BsaesAttack::key_from_leak(&slices, &victim_ct))
+    }
+}
+
 /// The configured attack: keys, target slice, layouts, gadget.
 #[derive(Clone, Debug)]
 pub struct BsaesAttack {
@@ -566,12 +601,13 @@ impl BsaesAttack {
         Ok(BsaesAttack::gap_checked_argmin(&outs, min_gap).map(|i| guesses[i]))
     }
 
-    /// Noise-tolerant [`BsaesAttack::recover_slice`]: runs the whole
+    /// Repetition-coded [`BsaesAttack::recover_slice`]: runs the whole
     /// guess sweep `redundancy` times, each round under a distinct
-    /// noise seed, takes each round's gap-checked argmin as one vote,
-    /// and majority-decodes across rounds — repetition coding at the
-    /// attack level, trading samples for accuracy exactly as a real
-    /// campaign does.
+    /// noise seed, and returns each round's gap-checked argmin as one
+    /// vote; [`majority_vote`] decodes them, trading samples for
+    /// accuracy exactly as a real campaign does. Round `r`'s seed does
+    /// not depend on the redundancy, so round 0 is the one-shot
+    /// receiver *under the same varying environment*.
     ///
     /// Every guess *within* a round shares the round's seed: the
     /// measurement is differential (argmin over near-identical
@@ -579,39 +615,18 @@ impl BsaesAttack {
     /// common-mode and cancels, while round-to-round reseeding gives
     /// the vote independent looks at the residual disturbance.
     ///
-    /// Redundancy 1 is the unhardened baseline *under the same varying
-    /// environment* (one noisy sweep, no voting), which is what the
-    /// robustness experiment compares against.
-    ///
     /// # Errors
     ///
     /// The first measuring run that fails outright.
-    pub fn recover_slice_vote(
+    pub fn slice_votes(
         &self,
         guesses: &[u16],
         min_gap: u64,
         redundancy: usize,
-    ) -> Result<Option<u16>, SimError> {
-        Ok(self
-            .recover_slice_vote_outcome(guesses, min_gap, redundancy)?
-            .map(|(g, _)| g))
-    }
-
-    /// [`BsaesAttack::recover_slice_vote`], also returning the elected
-    /// guess's outcome from the first round.
-    fn recover_slice_vote_outcome(
-        &self,
-        guesses: &[u16],
-        min_gap: u64,
-        redundancy: usize,
-    ) -> Result<Option<(u16, RunOutcome)>, SimError> {
-        if guesses.is_empty() {
-            return Ok(None);
-        }
+    ) -> Result<SliceVotes, SimError> {
         // Every (round, guess) experiment is one member of a single
         // fleet grid; the per-round noise reseeding rides in each
-        // member's config, so the measurements are bit-identical to
-        // the former serial double loop.
+        // member's config.
         let mut jobs: Vec<(SimConfig, Block, Option<u64>)> = Vec::new();
         for r in 0..redundancy.max(1) as u64 {
             let mut cfg = self.cfg;
@@ -625,57 +640,51 @@ impl BsaesAttack {
             }
         }
         let outs: Vec<RunOutcome> = self.run_grid(&jobs).into_iter().collect::<Result<_, _>>()?;
-        let votes: Vec<Option<u16>> = outs
-            .chunks(guesses.len())
-            .map(|round| BsaesAttack::gap_checked_argmin(round, min_gap).map(|i| guesses[i]))
-            .collect();
-        Ok(majority_vote(&votes).map(|g| {
-            let i = guesses
-                .iter()
-                .position(|&x| x == g)
-                .expect("elected guess was measured");
-            (g, outs[i])
-        }))
+        Ok(SliceVotes {
+            votes: outs
+                .chunks(guesses.len().max(1))
+                .map(|round| BsaesAttack::gap_checked_argmin(round, min_gap).map(|i| guesses[i]))
+                .collect(),
+            // The victim request finishes before the attacker's starts,
+            // so every outcome carries the same victim ciphertext.
+            victim_ct: outs.first().map(|o| o.victim_ct),
+        })
     }
 
-    /// Noise-tolerant [`BsaesAttack::recover_key`]: every slice is
-    /// recovered via [`BsaesAttack::recover_slice_vote`], with this
-    /// attack's noise configuration carried into each per-slice attack.
+    /// The rounds of all eight slices: [`BsaesAttack::slice_votes`] of
+    /// the slice-`k` attack over `window(k)`, for every `k`. Each
+    /// per-slice attack carries this attack's noise configuration with
+    /// the seed shifted by `k · 0x5851_f42d_4c95_7f2d`, so no two
+    /// slices fight the identical noise stream. [`KeyVotes::key`]
+    /// decodes the voted key.
     ///
     /// # Errors
     ///
     /// The first measuring run that fails outright.
-    pub fn recover_key_vote(
+    pub fn key_votes(
         &self,
         window: impl Fn(usize) -> Vec<u16>,
         min_gap: u64,
         redundancy: usize,
-    ) -> Result<Option<Block>, SimError> {
-        let mut slices = [0u16; 8];
-        let mut victim_ct = [0u8; 16];
-        for (k, slice) in slices.iter_mut().enumerate() {
+    ) -> Result<KeyVotes, SimError> {
+        let mut slices = Vec::with_capacity(8);
+        for k in 0..8 {
             let mut per_slice = BsaesAttack::new(
                 self.victim_rk.master_key(),
                 self.attacker_rk.master_key(),
                 self.victim_pt,
                 k,
             );
-            // Carry the environment (including a per-slice seed shift,
-            // so no two slices fight the identical noise stream).
             let mut noise = self.cfg.noise;
-            noise.seed = noise.seed.wrapping_add(k as u64 * 0x5851_f42d_4c95_7f2d);
+            noise.seed = noise
+                .seed
+                .wrapping_add((k as u64).wrapping_mul(0x5851_f42d_4c95_7f2d));
             per_slice.set_noise(noise);
-            let Some((g, out)) =
-                per_slice.recover_slice_vote_outcome(&window(k), min_gap, redundancy)?
-            else {
-                return Ok(None);
-            };
-            *slice = g;
-            // The victim request finishes before the attacker's starts,
-            // so every outcome carries the same victim ciphertext.
-            victim_ct = out.victim_ct;
+            slices.push(per_slice.slice_votes(&window(k), min_gap, redundancy)?);
         }
-        Ok(Some(BsaesAttack::key_from_leak(&slices, &victim_ct)))
+        Ok(KeyVotes {
+            slices: slices.try_into().expect("one row per slice"),
+        })
     }
 
     /// The full key-recovery pipeline over per-slice guess windows:
@@ -701,7 +710,7 @@ impl BsaesAttack {
             );
             let (g, out) = per_slice.recover_slice_outcome(window(k), min_gap)?;
             *slice = g;
-            // Same in every outcome: see `recover_key_vote`.
+            // Same in every outcome: see `slice_votes`.
             victim_ct = out.victim_ct;
         }
         Some(BsaesAttack::key_from_leak(&slices, &victim_ct))
@@ -815,9 +824,10 @@ mod tests {
         let truth = atk.true_slice_value();
         let lo = truth.saturating_sub(3);
         let window: Vec<u16> = (0..8).map(|d| lo.wrapping_add(d)).collect();
-        let got = atk
-            .recover_slice_vote(&window, 60, 5)
+        let votes = atk
+            .slice_votes(&window, 60, 5)
             .expect("noisy measurement rounds complete");
+        let got = majority_vote(&votes.votes);
         assert_eq!(got, Some(truth), "majority vote must survive the noise");
     }
 

@@ -22,7 +22,6 @@
 //! reaches an attacker-visible address (§IV-D4) — asserted by the
 //! workspace tests.
 
-use pandora_channels::adaptive::majority_vote;
 use pandora_channels::retry::{RetryError, RetryPolicy};
 use pandora_channels::stats::Summary;
 use pandora_isa::Asm;
@@ -271,7 +270,7 @@ impl UrgAttack {
 
     /// Sets the environmental-noise configuration of every subsequent
     /// leak run (see `pandora_sim::noise`); the noise-tolerant
-    /// [`UrgAttack::leak_byte_vote`] varies its seed per round.
+    /// [`UrgAttack::leak_byte_votes`] varies its seed per round.
     pub fn set_noise(&mut self, noise: NoiseConfig) {
         self.cfg.noise = noise;
     }
@@ -429,13 +428,15 @@ impl UrgAttack {
         UrgAttack::intersect(&run1, &run2)
     }
 
-    /// Noise-tolerant [`UrgAttack::leak_byte`]: repeats the
+    /// Repetition-coded [`UrgAttack::leak_byte`]: repeats the
     /// two-training-set leak `redundancy` times — each round under a
     /// distinct noise seed, so every repetition faces a fresh
-    /// interference pattern — and majority-votes the per-round bytes.
-    /// A round disturbed into an ambiguous candidate set votes as an
-    /// erasure rather than poisoning the result. Redundancy 1 is a
-    /// single noisy leak (the unhardened baseline).
+    /// interference pattern — and returns the per-round bytes for
+    /// [`majority_vote`](pandora_channels::majority_vote). A round
+    /// disturbed into an ambiguous candidate set votes as an erasure
+    /// rather than poisoning the result. Round `r`'s seed does not
+    /// depend on the redundancy, so round 0 is a single noisy leak
+    /// (the unhardened baseline).
     ///
     /// The two training runs *within* a round are seeded differently:
     /// the intersection filters noise by assuming spurious hot lines
@@ -446,11 +447,11 @@ impl UrgAttack {
     /// # Errors
     ///
     /// The first [`SimError`] from a leak run that fails outright.
-    pub fn leak_byte_vote(
+    pub fn leak_byte_votes(
         &self,
         secret_addr: u64,
         redundancy: usize,
-    ) -> Result<Option<u8>, SimError> {
+    ) -> Result<Vec<Option<u8>>, SimError> {
         let mut votes = Vec::with_capacity(redundancy.max(1));
         for r in 0..redundancy.max(1) as u64 {
             let base = self
@@ -465,7 +466,7 @@ impl UrgAttack {
             let (run2, _) = round.try_run(secret_addr, 4)?;
             votes.push(UrgAttack::intersect(&run1, &run2));
         }
-        Ok(majority_vote(&votes))
+        Ok(votes)
     }
 
     /// Like [`UrgAttack::leak_byte`], but each leak run is retried
@@ -532,6 +533,7 @@ impl Default for UrgAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pandora_channels::majority_vote;
 
     /// A private location well outside the sandbox.
     const SECRET_ADDR: u64 = 0x20_0000;
@@ -619,9 +621,10 @@ mod tests {
         // intensity onto the sandbox alone and every line is disturbed
         // several times per run, which no amount of voting fixes.
         atk.set_noise(NoiseConfig::at_intensity(30, 23));
-        let got = atk
-            .leak_byte_vote(SECRET_ADDR, 5)
-            .expect("noisy leak rounds complete");
+        let got = majority_vote(
+            &atk.leak_byte_votes(SECRET_ADDR, 5)
+                .expect("noisy leak rounds complete"),
+        );
         assert_eq!(got, Some(0x6D), "majority vote must survive the noise");
     }
 

@@ -37,6 +37,6 @@ pub mod stateless;
 pub mod util;
 
 pub use amplify::{AmplifyGadget, FlushKind};
-pub use bsaes::{BsaesAttack, GuessJob, RunOutcome};
+pub use bsaes::{BsaesAttack, GuessJob, KeyVotes, RunOutcome, SliceVotes};
 pub use defense::DefenseOutcome;
 pub use dmp::{LeakRun, UrgAttack};

@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use pandora_attacks::{BsaesAttack, GuessJob, UrgAttack};
 use pandora_channels::{
-    probe_calibration_grid, probe_calibration_round, AdaptiveReceiver, BitErrorCounter,
-    ChannelQuality, CovertChannel, RetryPolicy,
+    majority_vote, probe_calibration_grid, probe_calibration_round, AdaptiveReceiver,
+    BitErrorCounter, ChannelQuality, CovertChannel, RetryPolicy,
 };
 use pandora_runner::{outln, Ctx, Experiment, Failure};
 use pandora_sim::{NoiseConfig, OptConfig, SimConfig};
@@ -158,9 +158,10 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
             Err(e) => format!("dead channel ({e})"),
         };
         // Covert symbol error rates, one-shot vs majority vote, under
-        // interference windowed onto the channel's line array. The
-        // one-shot decodes for every value run as a single fleet grid;
-        // the per-value seed schedule is unchanged.
+        // interference windowed onto the channel's line array. Every
+        // value's rounds run as a single fleet grid; the one-shot
+        // receiver is round 0 of the vote, so the two columns are
+        // paired: they read the same noise draws.
         let mut cfg = quiet;
         cfg.noise = NoiseConfig::at_intensity(intensity, seed).with_window(0x4_0000, 0x5_0000);
         let bits = ch.capacity_bits() as u32;
@@ -173,12 +174,12 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
                 (c, value)
             })
             .collect();
-        let decodes = ch.round_trip_grid(&jobs, ctx.fleet_threads())?;
+        let rounds = ch.round_trip_votes(&jobs, redundancy, ctx.fleet_threads())?;
         let mut naive = BitErrorCounter::new();
         let mut vote = BitErrorCounter::new();
-        for (&(c, value), got) in jobs.iter().zip(decodes) {
-            naive.record(value, got, bits);
-            vote.record(value, ch.round_trip_vote(c, value, redundancy)?, bits);
+        for (&(_, value), votes) in jobs.iter().zip(&rounds) {
+            naive.record(value, votes[0], bits);
+            vote.record(value, majority_vote(votes), bits);
         }
         outln!(
             ctx,
@@ -262,34 +263,16 @@ fn amplification_sweep(ctx: &Ctx) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Per-slice BSAES recovery count at one intensity: how many of the
-/// eight slices a receiver with the given redundancy lands (the same
-/// per-slice seed schedule [`BsaesAttack::recover_key_vote`] uses).
-fn bsaes_slices_recovered(
-    noise: NoiseConfig,
-    redundancy: usize,
-) -> Result<usize, Failure> {
-    let (vk, ak, vpt) = keys();
-    let mut ok = 0;
-    for k in 0..8usize {
-        let mut per_slice = BsaesAttack::new(vk, ak, vpt, k);
-        let mut n = noise;
-        n.seed = n.seed.wrapping_add(k as u64 * 0x5851_f42d_4c95_7f2d);
-        per_slice.set_noise(n);
-        let truth = per_slice.true_slice_value();
-        let lo = truth.wrapping_sub(2);
-        let window: Vec<u16> = (0..5).map(|d| lo.wrapping_add(d)).collect();
-        if per_slice.recover_slice_vote(&window, MIN_GAP, redundancy)? == Some(truth) {
-            ok += 1;
-        }
-    }
-    Ok(ok)
-}
-
 /// Phase 3: end-to-end attack success per intensity — BSAES slices
 /// recovered and URG bytes read, one-shot vs majority-voted — then
 /// the acceptance checks at the midpoint: the voted attack recovers
 /// the full key while the single-sweep receiver measurably degrades.
+///
+/// Each receiver pair reads one set of rounds: the one-shot column is
+/// round 0 and the vote is the majority over all of them
+/// ([`BsaesAttack::key_votes`] with its per-slice and per-round seed
+/// schedule, [`UrgAttack::leak_byte_votes`]). The midpoint key is the
+/// midpoint row's vote.
 fn attack_success_sweep(ctx: &Ctx) -> Result<(), Failure> {
     ctx.header("End-to-end attack success vs noise intensity");
     let redundancy = if ctx.smoke() { 3 } else { 5 };
@@ -299,6 +282,13 @@ fn attack_success_sweep(ctx: &Ctx) -> Result<(), Failure> {
         &[0x13, 0x77, 0xC4, 0x6D]
     };
     let (vk, ak, vpt) = keys();
+    let truths: Vec<u16> = (0..8)
+        .map(|k| BsaesAttack::new(vk, ak, vpt, k).true_slice_value())
+        .collect();
+    let window = |k: usize| -> Vec<u16> {
+        let lo = truths[k].wrapping_sub(2);
+        (0..5).map(|d| lo.wrapping_add(d)).collect()
+    };
     let n_secrets = secrets.len();
     outln!(
         ctx,
@@ -310,13 +300,22 @@ fn attack_success_sweep(ctx: &Ctx) -> Result<(), Failure> {
         "urg vote"
     );
     let mut naive_at_midpoint = 8;
+    let mut recovered = None;
     for &intensity in intensities(ctx) {
-        let noise = NoiseConfig::at_intensity(intensity, ctx.seed())
-            .with_window(BSAES_WINDOW.0, BSAES_WINDOW.1);
-        let naive = bsaes_slices_recovered(noise, 1)?;
-        let voted = bsaes_slices_recovered(noise, redundancy)?;
+        let mut atk = BsaesAttack::new(vk, ak, vpt, 0);
+        atk.set_noise(
+            NoiseConfig::at_intensity(intensity, ctx.seed())
+                .with_window(BSAES_WINDOW.0, BSAES_WINDOW.1),
+        );
+        let bsaes = atk.key_votes(window, MIN_GAP, redundancy)?;
+        let rows = || bsaes.slices.iter().zip(&truths);
+        let naive = rows().filter(|(s, &t)| s.votes[0] == Some(t)).count();
+        let voted = rows()
+            .filter(|(s, &t)| majority_vote(&s.votes) == Some(t))
+            .count();
         if intensity == MIDPOINT {
             naive_at_midpoint = naive;
+            recovered = bsaes.key();
         }
         let mut urg = UrgAttack::new(3);
         for (i, &b) in secrets.iter().enumerate() {
@@ -326,17 +325,14 @@ fn attack_success_sweep(ctx: &Ctx) -> Result<(), Failure> {
             intensity,
             ctx.seed().wrapping_add(0xa11ce),
         ));
-        let mut urg_naive = 0usize;
-        let mut urg_vote = 0usize;
-        for (i, &b) in secrets.iter().enumerate() {
-            let addr = SECRET_ADDR + i as u64;
-            if urg.leak_byte_vote(addr, 1)? == Some(b) {
-                urg_naive += 1;
-            }
-            if urg.leak_byte_vote(addr, redundancy)? == Some(b) {
-                urg_vote += 1;
-            }
-        }
+        let urg_votes = (0..n_secrets as u64)
+            .map(|i| urg.leak_byte_votes(SECRET_ADDR + i, redundancy))
+            .collect::<Result<Vec<_>, _>>()?;
+        let urg_rows = || urg_votes.iter().zip(secrets);
+        let urg_naive = urg_rows().filter(|(v, &b)| v[0] == Some(b)).count();
+        let urg_vote = urg_rows()
+            .filter(|(v, &b)| majority_vote(v) == Some(b))
+            .count();
         outln!(
             ctx,
             "{:>9}  {:>9}/8  {:>8}/8  {:>7}/{}  {:>6}/{}",
@@ -364,20 +360,6 @@ fn attack_success_sweep(ctx: &Ctx) -> Result<(), Failure> {
              {MIDPOINT}: recovered {naive_at_midpoint}/8 slices"
         )));
     }
-    let mut atk = BsaesAttack::new(vk, ak, vpt, 0);
-    atk.set_noise(
-        NoiseConfig::at_intensity(MIDPOINT, ctx.seed())
-            .with_window(BSAES_WINDOW.0, BSAES_WINDOW.1),
-    );
-    let recovered = atk.recover_key_vote(
-        |k| {
-            let truth = BsaesAttack::new(vk, ak, vpt, k).true_slice_value();
-            let lo = truth.wrapping_sub(2);
-            (0..5).map(|d| lo.wrapping_add(d)).collect()
-        },
-        MIN_GAP,
-        redundancy,
-    )?;
     outln!(
         ctx,
         "majority-vote receiver (redundancy {redundancy}): recovered key {}",

@@ -13,7 +13,6 @@ use pandora_isa::{Asm, Program, Reg};
 use pandora_sim::fleet::{self, MemberError, MemberSpec};
 use pandora_sim::{Machine, SimConfig, SimError};
 
-use crate::adaptive::majority_vote;
 use crate::prime_probe::{emit_probe_lines, fastest_index, read_timings};
 
 /// Cycle budget for one send/receive round.
@@ -146,37 +145,41 @@ impl CovertChannel {
             .collect()
     }
 
-    /// Repetition-coded round trip: runs `redundancy` independent
-    /// rounds — each under a distinct noise seed, so every round sees
-    /// a fresh interference pattern — and majority-votes the decodes.
-    /// Redundancy 1 is exactly one noisy round (the unhardened
-    /// baseline under a varying environment). The rounds run as one
-    /// fleet grid (shared program, recycled machines, all cores).
+    /// Repetition-coded round trips: runs `redundancy` rounds of every
+    /// `(config, value)` job — each under a distinct noise seed, so
+    /// every round sees a fresh interference pattern — as one fleet
+    /// grid on `threads` threads (0 = process default), and returns
+    /// each job's decodes for [`majority_vote`](crate::majority_vote).
+    /// Round `r`'s seed does not depend on the redundancy, so round 0
+    /// is exactly one noisy round (the unhardened baseline).
     ///
     /// # Errors
     ///
     /// The first round whose machine fails outright.
-    pub fn round_trip_vote(
+    pub fn round_trip_votes(
         &self,
-        cfg: SimConfig,
-        value: usize,
+        jobs: &[(SimConfig, usize)],
         redundancy: usize,
-    ) -> Result<Option<usize>, SimError> {
-        let jobs: Vec<(SimConfig, usize)> = (0..redundancy.max(1) as u64)
-            .map(|r| {
+        threads: usize,
+    ) -> Result<Vec<Vec<Option<usize>>>, SimError> {
+        let rounds = redundancy.max(1);
+        let mut grid = Vec::with_capacity(jobs.len() * rounds);
+        for &(cfg, value) in jobs {
+            for r in 0..rounds as u64 {
                 let mut c = cfg;
                 c.noise.seed = cfg.noise.seed.wrapping_add(r.wrapping_mul(0x9e37_79b9));
-                (c, value)
-            })
-            .collect();
-        let votes = self.round_trip_grid(&jobs, 0)?;
-        Ok(majority_vote(&votes))
+                grid.push((c, value));
+            }
+        }
+        let decodes = self.round_trip_grid(&grid, threads)?;
+        Ok(decodes.chunks(rounds).map(<[_]>::to_vec).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::majority_vote;
 
     #[test]
     fn byte_channel_round_trips() {
@@ -215,7 +218,7 @@ mod tests {
                 naive_errors += 1;
             }
             assert_eq!(
-                ch.round_trip_vote(c, value, 7).unwrap(),
+                majority_vote(&ch.round_trip_votes(&[(c, value)], 7, 0).unwrap()[0]),
                 Some(value),
                 "repetition coding must survive intensity-60 noise"
             );
