@@ -4,7 +4,7 @@
 //!
 //! The benchmark harness: every table and figure of *"Opening
 //! Pandora's Box"* (ISCA 2021) as a registered, profiled experiment,
-//! plus Criterion benches for the simulator and attack primitives.
+//! plus the [`perf`] bench that gates the simulator's own speed.
 //!
 //! | Paper artifact | Experiment / binary |
 //! |---|---|
@@ -31,7 +31,8 @@
 //! panic-isolated, and resumable (`runall --smoke --jobs 2`,
 //! `runall --resume`). Every binary publishes `results/<name>.txt`
 //! atomically; `runall` additionally emits `results/summary.json`.
-//! Criterion benches: `cargo bench -p pandora-bench`.
+//! The `perf` bench and its two regression gates:
+//! `cargo bench -p pandora-bench --bench perf -- --check`.
 
 pub mod experiments;
 pub mod perf;

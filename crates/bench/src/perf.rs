@@ -1,40 +1,39 @@
-//! Performance-tracking layer: workloads, report format, and the
-//! regression gate behind `cargo bench -p pandora-bench --bench perf`.
+//! Performance-tracking layer: workloads, sampler, report format, and
+//! the two regression gates behind `cargo bench -p pandora-bench
+//! --bench perf`.
 //!
-//! The harness measures what the experiment suite actually spends its
-//! time on — [`Machine::step`] throughput (quiet, under deterministic
-//! noise, and on a [`DuoMachine`] with a traffic co-runner), one
-//! prime+probe calibration round, and one fig5 amplification trial —
-//! and records the numbers in two machine-readable files:
+//! The bench measures only what its gates read:
 //!
-//! * **`BENCH_5.json`** (repo root): the full report, plus the pre-PR
-//!   step costs captured before the allocation-free hot-loop rework
-//!   and the resulting speedup factors.
-//! * **`BENCH_7.json`** (repo root): the report plus the fleet batch
-//!   engine's headline number — per-trial cost of the E16-shaped
-//!   sweep under pre-fleet provisioning (fresh assemble +
-//!   `Machine::new` per trial) vs the fleet's pooled path
-//!   ([`bench7_json`]).
-//! * **`BENCH_10.json`** (repo root): the report plus the two-tier
-//!   execution layer's headline number — per-trial cost of the fig5
-//!   amplified trial under full replay vs forking from a shared
-//!   mid-run [`Machine::snapshot`] checkpoint ([`bench10_json`]).
-//! * **`results/perf_baseline.json`**: the committed baseline that CI
-//!   gates against (`step/*` fastest-sample costs may not regress more
-//!   than 20% — see [`PerfRecord::best_unit_ns`] for why the minimum,
-//!   not the median, is compared), validated by `runall --smoke`.
+//! * **`step/*`**: [`Machine::step`] throughput, quiet, under
+//!   deterministic noise, and on a [`DuoMachine`] with a traffic
+//!   co-runner. Under `--check`, no fastest-sample cost may regress
+//!   more than 20% against the committed `results/perf_baseline.json`
+//!   (see [`PerfRecord::best_unit_ns`] for why the minimum, not the
+//!   median, is compared). `runall --smoke` validates that the file
+//!   parses.
+//! * **`attack/*`**: one fig5 amplified trial ([`fig5_trial`]),
+//!   replayed on a fresh machine and forked from a warm mid-run
+//!   [`Checkpoint`]. Under `--check`, the fork may not be slower than
+//!   the replay.
+//!
+//! A run writes its report to an untracked path under `target/`; only
+//! `--save-baseline` writes a tracked file, the baseline. The committed
+//! `BENCH_5.json`, `BENCH_7.json` and `BENCH_10.json` are history in
+//! the same format and are never rewritten. Channel rounds, fleet grids
+//! and machine provisioning are measured by the repo benchmark
+//! (`benchmark/`), not here.
 //!
 //! Reports are read back through the workspace JSON codec
-//! ([`pandora_runner::json`]); the writers below format floats with a
-//! fixed number of decimals, which that codec's number printing does
-//! not.
+//! ([`pandora_runner::json`]); [`PerfReport::to_json`] formats floats
+//! with a fixed number of decimals, which that codec's number printing
+//! does not.
 
-use std::sync::Arc;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use pandora_attacks::{AmplifyGadget, FlushKind};
 use pandora_isa::{Asm, Program, Reg};
 use pandora_runner::json::{self, Json};
-use pandora_sim::fleet::MemberSpec;
 use pandora_sim::noise::{traffic_program, NoiseConfig};
 use pandora_sim::{Checkpoint, DuoMachine, Machine, OptConfig, SimConfig};
 
@@ -128,48 +127,25 @@ pub fn warmup(m: &mut Machine, steps: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet grid workload (the `fleet/*` vs `serial/*` benches)
+// The fig5 amplified trial (the `attack/*` benches and the fork gate)
 // ---------------------------------------------------------------------------
 
-/// One trial of the E16-shaped grid bench: a machine configuration
-/// (noise intensity varies across the grid, geometry does not) and the
-/// pre-seeded target value (equal to the stored 42 → silent store,
-/// different → loud).
-pub type GridJob = (SimConfig, u64);
+/// Cycle budget of one fig5 trial.
+const FIG5_TRIAL_MAX_CYCLES: u64 = 1_000_000;
 
-/// The E16-shaped sweep the `fleet/e16_grid` / `serial/e16_grid`
-/// benches both run: 8 amplified silent-store trials (alternating
-/// silent/loud) at each of the five noise intensities the
-/// `e16_noise_robustness` experiment sweeps. Every job is a pure
-/// function of its entry — the two benches must produce identical
-/// per-trial cycle counts, they differ only in how machines and
-/// programs are provisioned.
+/// The fig5 amplified silent-store trial both `attack/*` benches time
+/// (set-contention variant, silent case) under [`fig5_quiet_config`]:
+/// the program (six warm loads and a fence, the contention gadget, the
+/// target store, trailing stores) and the gadget whose memory image is
+/// the trial's prep.
 #[must_use]
-pub fn e16_grid_jobs() -> Vec<GridJob> {
-    let base = fig5_quiet_config();
-    let mut jobs = Vec::new();
-    for intensity in [0u16, 15, 30, 45, 60] {
-        for t in 0..8u64 {
-            let mut cfg = base;
-            if intensity > 0 {
-                cfg.noise = NoiseConfig::at_intensity(intensity, t.wrapping_mul(7919))
-                    .with_window(FIG5_TARGET, FIG5_TARGET + 0x1_0000);
-            }
-            jobs.push((cfg, if t % 2 == 0 { 42 } else { 41 }));
-        }
-    }
-    jobs
-}
-
-/// The grid trial program: the fig5 amplified single-store measurement
-/// (warm loads, contention gadget, target store, trailing stores).
-/// Identical for every job in [`e16_grid_jobs`] — the grid varies
-/// noise, not cache geometry, so the gadget's eviction-set layout is
-/// the same everywhere. The serial bench nevertheless re-assembles it
-/// per trial, because that is what the pre-fleet sweep loops did.
-#[must_use]
-pub fn e16_grid_program(cfg: &SimConfig) -> Program {
-    let gadget = AmplifyGadget::new(cfg, FIG5_TARGET, FIG5_DELAY, FlushKind::Contention);
+pub fn fig5_trial() -> (Program, AmplifyGadget) {
+    let gadget = AmplifyGadget::new(
+        &fig5_quiet_config(),
+        FIG5_TARGET,
+        FIG5_DELAY,
+        FlushKind::Contention,
+    );
     let mut a = Asm::new();
     a.ld(Reg::T0, Reg::ZERO, FIG5_TARGET as i64);
     for i in 1..6i64 {
@@ -184,124 +160,104 @@ pub fn e16_grid_program(cfg: &SimConfig) -> Program {
     }
     a.fence();
     a.halt();
-    a.assemble().expect("grid trial assembles")
+    (a.assemble().expect("fig5 trial assembles"), gadget)
 }
 
-/// Seeds one grid trial's memory (target value + gadget lines).
-fn grid_prep(cfg: &SimConfig, old: u64, m: &mut Machine) {
-    let gadget = AmplifyGadget::new(cfg, FIG5_TARGET, FIG5_DELAY, FlushKind::Contention);
-    let mem = m.mem_mut();
-    mem.write_u64(FIG5_TARGET, old).expect("target mapped");
-    gadget.setup_memory(mem);
-    gadget.setup_memory_flush_variant(mem);
-}
-
-/// The pre-fleet provisioning path, preserved verbatim as the bench
-/// baseline: every trial assembles its own program and constructs (and
-/// drops) its own machine — the shape of every sweep loop before the
-/// fleet refactor.
+/// One replayed trial, the body of `attack/fig5_amplified_trial`: a
+/// fresh machine, the program and the gadget's memory image, then the
+/// silent target write and the run to halt. Returns the cycle count.
 #[must_use]
-pub fn run_grid_serial(jobs: &[GridJob]) -> Vec<u64> {
-    jobs.iter()
-        .map(|&(cfg, old)| {
-            let prog = e16_grid_program(&cfg);
-            let mut m = Machine::new(cfg);
-            m.load_program(&prog);
-            grid_prep(&cfg, old, &mut m);
-            m.run(1_000_000).expect("grid trial completes").cycles
-        })
-        .collect()
+pub fn run_replay_trial(prog: &Program, gadget: &AmplifyGadget) -> u64 {
+    let mut m = Machine::new(fig5_quiet_config());
+    m.load_program(prog);
+    gadget.setup_memory(m.mem_mut());
+    finish_trial(&mut m)
 }
 
-/// The fleet provisioning path: one shared `Arc`'d program, machines
-/// recycled through the trial-grid pool ([`Machine::reset_to`]).
+/// The warm checkpoint the forked trial restores: the same machine as
+/// [`run_replay_trial`] builds, with the six warm loads and the fence
+/// already committed. The target write happens after forking;
+/// `tests/golden_stats.rs` pins this fork as byte-identical to a
+/// straight run.
 #[must_use]
-pub fn run_grid_fleet(jobs: &[GridJob]) -> Vec<u64> {
-    let prog = Arc::new(e16_grid_program(&jobs[0].0));
-    let specs: Vec<MemberSpec> = jobs
-        .iter()
-        .map(|&(cfg, old)| {
-            MemberSpec::new(cfg, Arc::clone(&prog))
-                .with_max_cycles(1_000_000)
-                .with_prep(move |m| {
-                    grid_prep(&cfg, old, m);
-                    Ok(())
-                })
-        })
-        .collect();
-    pandora_sim::fleet::trial_grid(&specs, 1, |_, _, stats| stats.cycles)
-        .into_iter()
-        .map(|r| r.expect("grid trial completes"))
-        .collect()
-}
-
-/// The checkpoint provisioning path: program *and* gadget memory image
-/// are baked once into a shared cycle-0 [`Checkpoint`]; every trial
-/// forks from it, so per-trial prep shrinks to the single target-value
-/// write. The per-job noise configuration rides in as a cycle-0 fork
-/// override (`Machine::set_noise`), which is bit-equal to constructing
-/// the noisy machine fresh. Per-trial cycle counts are identical to
-/// both other paths — the unit-cost gap is pure provisioning overhead.
-#[must_use]
-pub fn run_grid_forked(jobs: &[GridJob]) -> Vec<u64> {
-    let base = jobs[0].0;
-    let prog = Arc::new(e16_grid_program(&base));
-    let mut warm = Machine::new(base);
-    warm.load_program(&prog);
-    let gadget = AmplifyGadget::new(&base, FIG5_TARGET, FIG5_DELAY, FlushKind::Contention);
+pub fn fig5_trial_checkpoint(prog: &Program, gadget: &AmplifyGadget) -> Checkpoint {
+    let mut warm = Machine::new(fig5_quiet_config());
+    warm.load_program(prog);
     gadget.setup_memory(warm.mem_mut());
-    gadget.setup_memory_flush_variant(warm.mem_mut());
-    let ck = Arc::new(warm.snapshot());
-    let specs: Vec<MemberSpec> = jobs
-        .iter()
-        .map(|&(cfg, old)| {
-            MemberSpec::new(cfg, Arc::clone(&prog))
-                .with_start(Arc::clone(&ck))
-                .with_max_cycles(1_000_000)
-                .with_prep(move |m| {
-                    m.mem_mut().write_u64(FIG5_TARGET, old).expect("target mapped");
-                    Ok(())
-                })
-        })
-        .collect();
-    pandora_sim::fleet::trial_grid(&specs, 1, |_, _, stats| stats.cycles)
-        .into_iter()
-        .map(|r| r.expect("grid trial completes"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint-vs-replay trial workload (the BENCH_10 comparison)
-// ---------------------------------------------------------------------------
-
-/// Builds the warm mid-run checkpoint of the `attack/fig5_amplified_trial`
-/// workload: the amplified silent-store trial with its program loaded,
-/// gadget memory baked, and the six warm loads plus the fence already
-/// executed (seven committed instructions). The per-trial target write
-/// happens *after* forking; `tests/golden_stats.rs` pins this fork as
-/// byte-identical to a straight run.
-#[must_use]
-pub fn fig5_trial_checkpoint() -> Checkpoint {
-    let cfg = fig5_quiet_config();
-    let prog = e16_grid_program(&cfg);
-    let mut warm = Machine::new(cfg);
-    warm.load_program(&prog);
-    let gadget = AmplifyGadget::new(&cfg, FIG5_TARGET, FIG5_DELAY, FlushKind::Contention);
-    gadget.setup_memory(warm.mem_mut());
-    gadget.setup_memory_flush_variant(warm.mem_mut());
-    warm.run_until_committed(7, 1_000_000).expect("warm prefix completes");
+    warm.run_until_committed(7, FIG5_TRIAL_MAX_CYCLES)
+        .expect("warm prefix completes");
     warm.snapshot()
 }
 
-/// One forked trial: restore the machine to the warm boundary, write
-/// the (silent) target value, run to halt. This is the measured body of
-/// `attack/fig5_amplified_trial_forked` — no construction, no
-/// assembly, no warm-prefix replay.
+/// One forked trial, the body of `attack/fig5_amplified_trial_forked`:
+/// restore `ck` into a reused machine, then the silent target write and
+/// the run to halt. No construction, no assembly, no warm-prefix
+/// replay. Returns the cycle count.
 #[must_use]
 pub fn run_forked_trial(m: &mut Machine, ck: &Checkpoint) -> u64 {
     m.restore(ck);
+    finish_trial(m)
+}
+
+/// The tail both trial bodies share.
+fn finish_trial(m: &mut Machine) -> u64 {
     m.mem_mut().write_u64(FIG5_TARGET, 42).expect("target mapped");
-    m.run(1_000_000).expect("forked trial completes").cycles
+    m.run(FIG5_TRIAL_MAX_CYCLES).expect("fig5 trial completes").cycles
+}
+
+// ---------------------------------------------------------------------------
+// Sampler
+// ---------------------------------------------------------------------------
+
+/// Calibration target of one timed sample. Many short samples beat a
+/// few long ones on a shared runner: a 10 ms window averages co-tenant
+/// bursts into every sample, while 2 ms windows let the fastest sample
+/// (the statistic the gates compare, see [`PerfRecord::best_unit_ns`])
+/// land between bursts.
+const SAMPLE_WINDOW: Duration = Duration::from_millis(2);
+
+/// Times `routine`, one call of which performs `work_per_iter` work
+/// units (steps, trials): doubles the iteration count until one sample
+/// fills a 2 ms window, so fast routines are not dominated by timer
+/// resolution, then takes `samples` timed samples. Prints a summary
+/// line and returns the record.
+pub fn measure<T>(
+    id: &str,
+    work_per_iter: u64,
+    samples: usize,
+    mut routine: impl FnMut() -> T,
+) -> PerfRecord {
+    let mut sample = |iters: u64| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        start.elapsed()
+    };
+    let mut iters = 1u64;
+    while iters < 1 << 20 && sample(iters) < SAMPLE_WINDOW {
+        iters *= 2;
+    }
+    let mut ns: Vec<f64> = (0..samples.max(1))
+        .map(|_| sample(iters).as_secs_f64() * 1e9 / iters as f64)
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let rec = PerfRecord {
+        id: id.to_string(),
+        median_ns: ns[ns.len() / 2],
+        min_ns: ns[0],
+        max_ns: ns[ns.len() - 1],
+        iters,
+        samples: ns.len(),
+        work_per_iter,
+    };
+    println!(
+        "{id:<36} {:>10.1} ns/unit best, {:>10.1} median  ({} samples x {iters} iters, {work_per_iter} units/iter)",
+        rec.best_unit_ns(),
+        rec.median_ns / work_per_iter as f64,
+        rec.samples,
+    );
+    rec
 }
 
 // ---------------------------------------------------------------------------
@@ -312,11 +268,10 @@ pub fn run_forked_trial(m: &mut Machine, ck: &Checkpoint) -> u64 {
 pub const PERF_SCHEMA: u32 = 1;
 
 /// One benchmark's summary: per-iteration times plus how much work one
-/// iteration performs (e.g. [`STEPS_PER_ITER`] machine steps), so
-/// per-unit cost is `median_ns / work_per_iter`.
+/// iteration performs (e.g. [`STEPS_PER_ITER`] machine steps).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfRecord {
-    /// Benchmark id (`step/fig5_quiet`, `channel/prime_probe_round`, …).
+    /// Benchmark id (`step/fig5_quiet`, `attack/fig5_amplified_trial`, …).
     pub id: String,
     /// Median per-iteration time in nanoseconds.
     pub median_ns: f64,
@@ -333,27 +288,21 @@ pub struct PerfRecord {
 }
 
 impl PerfRecord {
-    /// Median cost of one work unit, in nanoseconds.
-    #[must_use]
-    pub fn unit_ns(&self) -> f64 {
-        self.median_ns / self.work_per_iter.max(1) as f64
-    }
-
     /// Fastest-sample cost of one work unit, in nanoseconds. On the
     /// shared single-core runners this suite targets, co-tenant
     /// interference is strictly *additive* — it can only slow a sample
     /// down, never speed it up — so the minimum over samples is the
     /// robust estimator of intrinsic cost (medians swing ±40% with
-    /// machine load). Speedup reporting and the CI regression gate both
-    /// use this.
+    /// machine load). Both gates compare this.
     #[must_use]
     pub fn best_unit_ns(&self) -> f64 {
         self.min_ns / self.work_per_iter.max(1) as f64
     }
 }
 
-/// A perf report: what `BENCH_5.json` and `results/perf_baseline.json`
-/// contain (the former adds a `pre_pr`/`speedup` section on top).
+/// A perf report: what a bench run writes and what
+/// `results/perf_baseline.json` holds. The committed `BENCH_*.json`
+/// files add summary sections on top, which the parser ignores.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfReport {
     /// Format version ([`PERF_SCHEMA`]).
@@ -391,8 +340,7 @@ impl PerfReport {
     }
 
     /// Parses a report previously written by [`PerfReport::to_json`]
-    /// (or the extended `BENCH_5.json` form — unknown keys are
-    /// ignored).
+    /// (or a committed `BENCH_*.json` file; unknown keys are ignored).
     ///
     /// # Errors
     ///
@@ -433,106 +381,6 @@ impl PerfReport {
         }
         Ok(PerfReport { schema, mode, benches })
     }
-}
-
-/// Per-step costs measured at the last pre-optimization commit
-/// (`29ebeea`, the PR 4 head), on the same workloads this harness
-/// runs — the fastest medians observed across repeated runs, i.e. the
-/// same noise-robust statistic [`PerfRecord::best_unit_ns`] reports
-/// now. `BENCH_5.json` reports current-vs-these speedups; they are
-/// frozen history, not a moving baseline (that is
-/// `results/perf_baseline.json`).
-pub const PRE_PR_STEP_NS: &[(&str, f64)] = &[
-    ("step/fig5_quiet", 480.0),
-    ("step/fig5_noisy", 500.0),
-    ("step/duo", 1050.0),
-];
-
-/// Renders the extended `BENCH_5.json` document: the report plus the
-/// pre-PR step costs and the speedup factors they imply.
-#[must_use]
-pub fn bench5_json(report: &PerfReport) -> String {
-    let body = report.to_json();
-    // Splice the extra sections in after the "mode" line.
-    let mut extra = String::from("  \"pre_pr\": {\n");
-    extra.push_str("    \"commit\": \"29ebeea\",\n");
-    for (i, (id, ns)) in PRE_PR_STEP_NS.iter().enumerate() {
-        extra.push_str(&format!(
-            "    \"{id}\": {ns:.1}{}\n",
-            if i + 1 == PRE_PR_STEP_NS.len() { "" } else { "," }
-        ));
-    }
-    extra.push_str("  },\n  \"speedup\": {\n");
-    let mut lines = Vec::new();
-    for (id, pre_ns) in PRE_PR_STEP_NS {
-        if let Some(rec) = report.get(id) {
-            lines.push(format!("    \"{id}\": {:.2}", pre_ns / rec.best_unit_ns()));
-        }
-    }
-    extra.push_str(&lines.join(",\n"));
-    extra.push_str("\n  },\n");
-    body.replacen("  \"benches\": [\n", &format!("{extra}  \"benches\": [\n"), 1)
-}
-
-/// Renders `BENCH_7.json`: the report plus the fleet-vs-serial
-/// comparison the batch sweep engine is gated on — the per-trial
-/// fastest-sample cost of `serial/e16_grid` (per-trial fresh
-/// assemble plus `Machine::new`, the pre-fleet loop shape) against
-/// `fleet/e16_grid` (shared program, pooled machines), and the speedup
-/// factor between them. The document stays parseable by
-/// [`PerfReport::from_json`].
-#[must_use]
-pub fn bench7_json(report: &PerfReport) -> String {
-    let body = report.to_json();
-    let mut extra = String::from("  \"fleet\": {\n");
-    let unit = |id: &str| report.get(id).map(PerfRecord::best_unit_ns);
-    match (unit("serial/e16_grid"), unit("fleet/e16_grid")) {
-        (Some(serial), Some(fl)) => {
-            extra.push_str(&format!("    \"serial_trial_ns\": {serial:.1},\n"));
-            extra.push_str(&format!("    \"fleet_trial_ns\": {fl:.1},\n"));
-            extra.push_str(&format!("    \"speedup\": {:.2}\n", serial / fl));
-        }
-        _ => extra.push_str("    \"speedup\": null\n"),
-    }
-    extra.push_str("  },\n");
-    body.replacen("  \"benches\": [\n", &format!("{extra}  \"benches\": [\n"), 1)
-}
-
-/// Renders `BENCH_10.json`: the report plus the checkpoint-vs-replay
-/// comparison the two-tier execution layer is gated on — the
-/// fastest-sample cost of `attack/fig5_amplified_trial` (fresh
-/// `Machine::new` + full warm-prefix replay per trial) against
-/// `attack/fig5_amplified_trial_forked` (restore from a shared mid-run
-/// [`Checkpoint`], write the trial value, run the suffix), and the
-/// grid-shaped version of the same gap (`fleet/e16_grid` vs
-/// `forked/e16_grid`). The document stays parseable by
-/// [`PerfReport::from_json`].
-#[must_use]
-pub fn bench10_json(report: &PerfReport) -> String {
-    let body = report.to_json();
-    let unit = |id: &str| report.get(id).map(PerfRecord::best_unit_ns);
-    let mut extra = String::from("  \"checkpoint\": {\n");
-    match (
-        unit("attack/fig5_amplified_trial"),
-        unit("attack/fig5_amplified_trial_forked"),
-    ) {
-        (Some(replay), Some(forked)) => {
-            extra.push_str(&format!("    \"replay_trial_ns\": {replay:.1},\n"));
-            extra.push_str(&format!("    \"forked_trial_ns\": {forked:.1},\n"));
-            extra.push_str(&format!("    \"speedup\": {:.2},\n", replay / forked));
-        }
-        _ => extra.push_str("    \"speedup\": null,\n"),
-    }
-    match (unit("fleet/e16_grid"), unit("forked/e16_grid")) {
-        (Some(fl), Some(forked)) => {
-            extra.push_str(&format!("    \"fleet_grid_trial_ns\": {fl:.1},\n"));
-            extra.push_str(&format!("    \"forked_grid_trial_ns\": {forked:.1},\n"));
-            extra.push_str(&format!("    \"grid_speedup\": {:.2}\n", fl / forked));
-        }
-        _ => extra.push_str("    \"grid_speedup\": null\n"),
-    }
-    extra.push_str("  },\n");
-    body.replacen("  \"benches\": [\n", &format!("{extra}  \"benches\": [\n"), 1)
 }
 
 /// Compares `current` against `baseline` on every `step/*` benchmark:
@@ -638,57 +486,15 @@ mod tests {
     }
 
     #[test]
-    fn bench5_json_adds_speedups_and_still_parses() {
-        let r = report(vec![rec("step/fig5_quiet", 500.0 * 1000.0, 1000)]);
-        let text = bench5_json(&r);
-        assert!(text.contains("\"pre_pr\""));
-        assert!(text.contains("\"speedup\""));
-        // The extended form must stay readable by the same parser.
-        let parsed = PerfReport::from_json(&text).unwrap();
-        assert_eq!(parsed.benches.len(), 1);
-    }
-
-    #[test]
-    fn bench7_json_reports_fleet_speedup_and_still_parses() {
-        let r = report(vec![
-            rec("serial/e16_grid", 200_000.0 * 40.0, 40),
-            rec("fleet/e16_grid", 40_000.0 * 40.0, 40),
-        ]);
-        let text = bench7_json(&r);
-        assert!(text.contains("\"fleet\""));
-        assert!(text.contains("\"speedup\": 5.00"), "{text}");
-        let parsed = PerfReport::from_json(&text).unwrap();
-        assert_eq!(parsed.benches.len(), 2);
-    }
-
-    #[test]
-    fn grid_paths_agree_trial_for_trial() {
-        // The contract behind the BENCH_7 and BENCH_10 comparisons: all
-        // three provisioning paths run the *same* work — identical
-        // per-trial cycle counts — so the measured gaps are pure
-        // provisioning overhead. A sub-grid spanning two intensities
-        // (so the forked path exercises its cycle-0 noise overrides)
-        // keeps this cheap enough for the unit suite.
-        let jobs = &e16_grid_jobs()[6..14];
-        let serial = run_grid_serial(jobs);
-        assert_eq!(serial, run_grid_fleet(jobs));
-        assert_eq!(serial, run_grid_forked(jobs));
-    }
-
-    #[test]
     fn forked_trial_matches_replay_cycles() {
-        // The BENCH_10 benches must measure the same trial: forking
-        // from the warm mid-run checkpoint and replaying from scratch
-        // land on the same cycle count (the golden suite pins the full
-        // stats; this pins the two bench bodies against each other).
-        let cfg = fig5_quiet_config();
-        let prog = e16_grid_program(&cfg);
-        let mut replay = Machine::new(cfg);
-        replay.load_program(&prog);
-        grid_prep(&cfg, 42, &mut replay);
-        let replay_cycles = replay.run(1_000_000).expect("replay trial completes").cycles;
-
-        let ck = fig5_trial_checkpoint();
+        // The fork gate compares two bodies that must time the same
+        // trial: forking from the warm mid-run checkpoint and replaying
+        // from scratch land on the same cycle count (the golden suite
+        // pins the full stats; this pins the two bench bodies against
+        // each other).
+        let (prog, gadget) = fig5_trial();
+        let replay_cycles = run_replay_trial(&prog, &gadget);
+        let ck = fig5_trial_checkpoint(&prog, &gadget);
         assert!(ck.cycle() > 0, "the trial checkpoint must be mid-run");
         let mut m = Machine::from_checkpoint(&ck);
         // Two forked trials back to back: the second restores over a
@@ -698,19 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn bench10_json_reports_checkpoint_speedup_and_still_parses() {
-        let r = report(vec![
-            rec("attack/fig5_amplified_trial", 90_000.0, 1),
-            rec("attack/fig5_amplified_trial_forked", 30_000.0, 1),
-            rec("fleet/e16_grid", 50_000.0 * 40.0, 40),
-            rec("forked/e16_grid", 25_000.0 * 40.0, 40),
-        ]);
-        let text = bench10_json(&r);
-        assert!(text.contains("\"checkpoint\""));
-        assert!(text.contains("\"speedup\": 3.00"), "{text}");
-        assert!(text.contains("\"grid_speedup\": 2.00"), "{text}");
-        let parsed = PerfReport::from_json(&text).unwrap();
-        assert_eq!(parsed.benches.len(), 4);
+    fn measure_records_its_samples() {
+        let r = measure("unit/spin", 3, 4, || black_box(1u64) + 1);
+        assert_eq!((r.id.as_str(), r.samples, r.work_per_iter), ("unit/spin", 4, 3));
+        assert!(r.iters >= 1);
+        assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
     }
 
     #[test]

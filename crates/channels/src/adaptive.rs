@@ -94,12 +94,6 @@ impl ChannelQuality {
         ChannelQuality::of(&Summary::of(fast), &Summary::of(slow))
     }
 
-    /// Quality of an accepted calibration.
-    #[must_use]
-    pub fn of_calibration(cal: &Calibration) -> ChannelQuality {
-        ChannelQuality::of(&cal.fast, &cal.slow)
-    }
-
     /// SNR in decibels (`-inf` for a dead channel).
     #[must_use]
     pub fn snr_db(&self) -> f64 {
@@ -222,16 +216,6 @@ impl AdaptiveReceiver {
             cal,
             recalibrations: 0,
         })
-    }
-
-    /// Wraps an existing calibration.
-    #[must_use]
-    pub fn from_calibration(policy: RetryPolicy, cal: Calibration) -> AdaptiveReceiver {
-        AdaptiveReceiver {
-            policy,
-            cal,
-            recalibrations: 0,
-        }
     }
 
     /// The current classification threshold.

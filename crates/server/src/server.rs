@@ -149,12 +149,6 @@ impl ServerHandle {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
     }
-
-    /// Whether a drain is in progress.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
 }
 
 /// A bound-but-not-yet-running server.

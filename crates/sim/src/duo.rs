@@ -42,20 +42,10 @@ impl DuoMachine {
         &self.a
     }
 
-    /// Mutable core A.
-    pub fn core_a_mut(&mut self) -> &mut Machine {
-        &mut self.a
-    }
-
     /// Core B (e.g. the receiver).
     #[must_use]
     pub fn core_b(&self) -> &Machine {
         &self.b
-    }
-
-    /// Mutable core B.
-    pub fn core_b_mut(&mut self) -> &mut Machine {
-        &mut self.b
     }
 
     /// The shared L2 itself.

@@ -368,12 +368,6 @@ impl EventBus {
         &self.stats
     }
 
-    /// Mutable access to the statistics (used by the fault layer's
-    /// bookkeeping and by tests).
-    pub fn stats_mut(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
     /// The event trace.
     #[must_use]
     pub fn trace(&self) -> &Trace {

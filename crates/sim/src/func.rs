@@ -115,12 +115,6 @@ impl Emulator {
         &mut self.mem
     }
 
-    /// Consumes the emulator, returning its memory.
-    #[must_use]
-    pub fn into_mem(self) -> Memory {
-        self.mem
-    }
-
     /// Dynamic instructions executed so far.
     #[must_use]
     pub fn steps(&self) -> u64 {

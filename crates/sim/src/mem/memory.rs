@@ -349,7 +349,7 @@ mod tests {
     fn restore_from_adopts_contents_and_dirty_mark() {
         // The checkpoint: a small dirty prefix.
         let mut ck = Memory::new(1 << 16);
-        ck.write_u64(0x100, 0xc0ff_ee).unwrap();
+        ck.write_u64(0x100, 0x00c0_ffee).unwrap();
         assert_eq!(ck.dirty_hi(), 0x108);
 
         // A recycled machine whose previous trial wrote "secrets" far

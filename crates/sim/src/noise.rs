@@ -123,13 +123,6 @@ impl NoiseConfig {
         self
     }
 
-    /// Replaces the noise seed, keeping every intensity knob.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> NoiseConfig {
-        self.seed = seed;
-        self
-    }
-
     /// Whether any noise mechanism is active.
     #[must_use]
     pub fn enabled(&self) -> bool {

@@ -268,8 +268,7 @@ fn fast_forward_rejects_rdcycle_in_prefix() {
     // handoff contract rejects it at the exact pc.
     let (prog, boundary, poison) = two_tier_program(true);
     let err = Machine::fast_forward(SimConfig::default(), &prog, boundary, 1_000_000)
-        .err()
-        .expect("prefix rdcycle must be rejected");
+        .expect_err("prefix rdcycle must be rejected");
     assert_eq!(err, EmuError::RdCycleInPrefix { pc: poison.unwrap() });
 
     // The same program is still legal for a whole-pipeline run (the

@@ -114,10 +114,26 @@ fn fleet_members_are_bit_equal_to_lone_machines() {
 #[test]
 fn trial_grid_is_invariant_to_threads_and_machine_recycling() {
     let program = Arc::new(sweep_program(48));
-    let jobs: Vec<MemberSpec> = mixed_cfgs()
-        .into_iter()
-        .map(|cfg| MemberSpec::new(cfg, Arc::clone(&program)).with_prep(prep))
-        .collect();
+    // The noisy members run twice: once plain, and once forked from a
+    // quiet cycle-0 checkpoint of their shape with the program and prep
+    // baked in, taking their noise as a start override
+    // (`Machine::set_noise`). No noise has been drawn at cycle 0, so a
+    // fork must be bit-equal to a machine built noisy. The forks go
+    // first, so at one thread the plain members recycle a machine that
+    // ran under an override.
+    let mut warm = Machine::new(SimConfig::with_opts(OptConfig::with_silent_stores()));
+    warm.load_program(&program);
+    prep(&mut warm).expect("prep succeeds");
+    let ck = Arc::new(warm.snapshot());
+    let cfgs = mixed_cfgs();
+    let forks = cfgs
+        .iter()
+        .filter(|cfg| cfg.noise.enabled())
+        .map(|&cfg| MemberSpec::new(cfg, Arc::clone(&program)).with_start(Arc::clone(&ck)));
+    let plain = cfgs
+        .iter()
+        .map(|&cfg| MemberSpec::new(cfg, Arc::clone(&program)).with_prep(prep));
+    let jobs: Vec<MemberSpec> = forks.chain(plain).collect();
 
     // threads = 1 funnels every job through ONE pooled machine, so the
     // mixed grid forces reset_to through both the same-shape reset path
