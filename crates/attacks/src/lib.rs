@@ -21,9 +21,9 @@
 //! * [`stateful`] — the equality-oracle replay attacks on computation
 //!   reuse, value prediction, and register-file compression (§IV-C,
 //!   §IV-D1).
-//! * [`replay`] — the §IV-C4 width-chunked replay framework: a 64-bit
-//!   word recovered through byte-granular silent stores in ≤ 8 × 2^8
-//!   experiments.
+//! * [`replay`] — the §IV-C4 width-chunked replay framework: one byte
+//!   of a 64-bit word recovered through byte-granular silent stores in
+//!   ≤ 2^8 experiments.
 //! * [`defense`] — measured §VI-A retrofits: MSB-OR vs compression,
 //!   Sn keying vs reuse, targeted clearing vs silent stores.
 

@@ -7,10 +7,11 @@
 //! if v is a Word (Byte) then learning 32 (8) bits takes 2^32 (2^8)
 //! tries in expectation."
 //!
-//! [`recover_word`] realises this against silent stores:
-//! the victim leaves a 64-bit secret in memory; the attacker issues
-//! **byte-width** amplified stores at each of the eight byte offsets,
-//! turning an infeasible 2^64 search into at most 8 × 2^8 experiments.
+//! [`recover_byte`] realises this against silent stores: the victim
+//! leaves a 64-bit secret in memory, and the attacker issues
+//! **byte-width** amplified stores at one byte offset, learning that
+//! byte in at most 2^8 experiments instead of searching the whole
+//! word.
 
 use pandora_isa::{Asm, Reg, Width};
 use pandora_sim::{Machine, OptConfig, SimConfig};
@@ -69,25 +70,6 @@ pub fn recover_byte(secret_word: u64, offset: u64) -> Option<u8> {
     (second? >= t + 60).then_some(g)
 }
 
-/// Recovers the full 64-bit word, byte by byte: ≤ 8 × 2^8 = 2048
-/// experiments instead of 2^64 — the paper's chunking arithmetic.
-#[must_use]
-pub fn recover_word(secret_word: u64) -> Option<u64> {
-    let mut out = 0u64;
-    for offset in 0..8u64 {
-        let b = recover_byte(secret_word, offset)?;
-        out |= u64::from(b) << (8 * offset);
-    }
-    Some(out)
-}
-
-/// The experiment-count arithmetic the paper states (§IV-C4).
-#[must_use]
-pub fn chunked_experiment_bound(value_bits: u32, chunk_bits: u32) -> u64 {
-    let chunks = u64::from(value_bits.div_ceil(chunk_bits));
-    chunks * (1u64 << chunk_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,16 +91,5 @@ mod tests {
         let secret = 0xDEAD_BEEF_0102_03C4u64;
         assert_eq!(recover_byte(secret, 0), Some(0xC4));
         assert_eq!(recover_byte(secret, 4), Some(0xEF), "little-endian byte 4");
-    }
-
-    #[test]
-    fn chunking_bounds_match_the_paper() {
-        // "learning 32 (8) bits takes 2^32 (2^8) tries"
-        assert_eq!(chunked_experiment_bound(32, 32), 1u64 << 32);
-        assert_eq!(chunked_experiment_bound(8, 8), 256);
-        // Byte-chunked word: 8 * 256 = 2048.
-        assert_eq!(chunked_experiment_bound(64, 8), 2048);
-        // The BSAES budget: 8 slices of 16 bits, checked at full width.
-        assert_eq!(8 * chunked_experiment_bound(16, 16), 524_288);
     }
 }

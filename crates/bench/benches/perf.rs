@@ -123,7 +123,7 @@ fn main() {
     }
 
     if has("--check") {
-        // The two-tier execution gate: restoring a checkpoint must not
+        // The checkpoint fork gate: restoring a checkpoint must not
         // be slower than replaying the trial from scratch. Unlike the
         // step/* gate this needs no committed baseline: both sides are
         // measured in this very run.

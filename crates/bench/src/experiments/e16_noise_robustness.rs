@@ -164,7 +164,6 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
         // paired: they read the same noise draws.
         let mut cfg = quiet;
         cfg.noise = NoiseConfig::at_intensity(intensity, seed).with_window(0x4_0000, 0x5_0000);
-        let bits = ch.capacity_bits() as u32;
         let jobs: Vec<(SimConfig, usize)> = values
             .iter()
             .enumerate()
@@ -178,8 +177,8 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
         let mut naive = BitErrorCounter::new();
         let mut vote = BitErrorCounter::new();
         for (&(_, value), votes) in jobs.iter().zip(&rounds) {
-            naive.record(value, votes[0], bits);
-            vote.record(value, majority_vote(votes), bits);
+            naive.record(value, votes[0]);
+            vote.record(value, majority_vote(votes));
         }
         outln!(
             ctx,

@@ -69,8 +69,8 @@ pub fn with_selftests(registry: Registry) -> Registry {
         ctx.line(format_args!(
             "this line is the partial result; the body now sleeps past its deadline"
         ));
-        // A deliberate wedge: ignore the cooperative deadline forever.
-        // The orchestrator's job watchdog must fire and abandon us.
+        // A deliberate wedge: never return. The orchestrator's job
+        // watchdog must fire and abandon us.
         loop {
             std::thread::sleep(Duration::from_millis(50));
         }

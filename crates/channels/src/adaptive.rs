@@ -1,6 +1,6 @@
 //! Noise-hardened receiver machinery: channel-quality reporting
-//! (SNR / estimated BER), bit-error accounting, repetition coding, and
-//! adaptive threshold re-calibration.
+//! (SNR / estimated BER), symbol-error accounting, repetition coding,
+//! and adaptive threshold re-calibration.
 //!
 //! Under a quiet machine a receiver calibrates once and classifies
 //! forever; under environmental noise (`pandora_sim::noise`) the
@@ -10,8 +10,8 @@
 //! * [`ChannelQuality`] — per-run SNR and a Gaussian-overlap BER
 //!   estimate, so experiments can report *how degraded* a channel is
 //!   rather than only whether a round decoded.
-//! * [`BitErrorCounter`] — ground-truth symbol/bit error accounting
-//!   for sweeps that know what was sent.
+//! * [`BitErrorCounter`] — ground-truth symbol error accounting for
+//!   sweeps that know what was sent.
 //! * [`majority_vote`] — repetition decoding over independently noisy
 //!   rounds (redundancy trades samples for accuracy).
 //! * [`AdaptiveReceiver`] — a calibrated threshold that *watches its
@@ -102,18 +102,13 @@ impl ChannelQuality {
 }
 
 /// Ground-truth error accounting for channel sweeps: feed it each
-/// `(sent, decoded)` pair and read back symbol- and bit-error rates.
+/// `(sent, decoded)` pair and read back the symbol error rate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BitErrorCounter {
     /// Symbols sent.
     pub symbols: u64,
     /// Symbols decoded to the wrong value (or not decoded at all).
     pub symbol_errors: u64,
-    /// Bits sent (`symbol_bits` per symbol).
-    pub bits: u64,
-    /// Bits flipped between sent and decoded symbols; an undecoded
-    /// symbol (erasure) counts every bit as an error.
-    pub bit_errors: u64,
 }
 
 impl BitErrorCounter {
@@ -124,25 +119,11 @@ impl BitErrorCounter {
     }
 
     /// Records one round: `sent` was transmitted, `decoded` came back
-    /// (`None` = erasure), the symbol carries `symbol_bits` bits.
-    pub fn record(&mut self, sent: usize, decoded: Option<usize>, symbol_bits: u32) {
+    /// (`None` = erasure, which counts as an error).
+    pub fn record(&mut self, sent: usize, decoded: Option<usize>) {
         self.symbols += 1;
-        self.bits += u64::from(symbol_bits);
-        match decoded {
-            Some(d) if d == sent => {}
-            Some(d) => {
-                self.symbol_errors += 1;
-                let mask = if symbol_bits >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << symbol_bits) - 1
-                };
-                self.bit_errors += u64::from(((d ^ sent) as u64 & mask).count_ones());
-            }
-            None => {
-                self.symbol_errors += 1;
-                self.bit_errors += u64::from(symbol_bits);
-            }
+        if decoded != Some(sent) {
+            self.symbol_errors += 1;
         }
     }
 
@@ -153,16 +134,6 @@ impl BitErrorCounter {
             0.0
         } else {
             self.symbol_errors as f64 / self.symbols as f64
-        }
-    }
-
-    /// Bit error rate in [0, 1] (0 before any round).
-    #[must_use]
-    pub fn ber(&self) -> f64 {
-        if self.bits == 0 {
-            0.0
-        } else {
-            self.bit_errors as f64 / self.bits as f64
         }
     }
 }
@@ -234,12 +205,6 @@ impl AdaptiveReceiver {
     #[must_use]
     pub fn recalibrations(&self) -> u32 {
         self.recalibrations
-    }
-
-    /// Classifies one sample against the current threshold.
-    #[must_use]
-    pub fn classify_fast(&self, sample: u64) -> bool {
-        sample < self.cal.threshold
     }
 
     /// Whether freshly observed fast/slow populations have drifted
@@ -318,19 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn bit_error_counter_accounts_symbols_and_bits() {
+    fn bit_error_counter_accounts_symbols() {
         let mut c = BitErrorCounter::new();
-        c.record(0b1010, Some(0b1010), 4); // clean
-        c.record(0b1010, Some(0b1000), 4); // 1 bit flipped
-        c.record(0b1010, None, 4); // erasure: all 4 bits
+        c.record(0b1010, Some(0b1010)); // clean
+        c.record(0b1010, Some(0b1000)); // one bit off is a symbol error
+        c.record(0b1010, None); // erasure
         assert_eq!(c.symbols, 3);
         assert_eq!(c.symbol_errors, 2);
-        assert_eq!(c.bits, 12);
-        assert_eq!(c.bit_errors, 5);
         assert!((c.ser() - 2.0 / 3.0).abs() < 1e-9);
-        assert!((c.ber() - 5.0 / 12.0).abs() < 1e-9);
         assert_eq!(BitErrorCounter::new().ser(), 0.0);
-        assert_eq!(BitErrorCounter::new().ber(), 0.0);
     }
 
     #[test]
@@ -355,7 +316,7 @@ mod tests {
         })
         .unwrap();
         let t0 = rx.threshold();
-        assert!(rx.classify_fast(150) && !rx.classify_fast(250));
+        assert!(150 < t0 && 250 >= t0);
         assert_eq!(rx.recalibrations(), 0);
 
         // Clean observations: nothing happens.

@@ -18,7 +18,7 @@
 //!   rounds are retried with more trials until the timing populations
 //!   separate, and failures surface as structured [`RetryError`]s.
 //! * [`adaptive`] — noise-hardened receiver machinery: SNR /
-//!   bit-error-rate reporting ([`ChannelQuality`],
+//!   error-rate reporting ([`ChannelQuality`],
 //!   [`BitErrorCounter`]), repetition decoding ([`majority_vote`]),
 //!   and drift-detecting threshold re-calibration
 //!   ([`AdaptiveReceiver`]).
@@ -38,5 +38,5 @@ pub use prime_probe::{
     hits_below, probe_calibration_grid, probe_calibration_round, probe_oracle, read_timings,
     try_read_timings, EvictionSet,
 };
-pub use retry::{Calibration, RetryError, RetryPolicy, RetryStop};
+pub use retry::{Calibration, RetryError, RetryPolicy};
 pub use stats::{midpoint_threshold, welch_t, Histogram, Summary};

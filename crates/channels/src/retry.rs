@@ -14,7 +14,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 use pandora_sim::SimError;
 
@@ -73,14 +72,6 @@ pub enum RetryError {
         /// The final attempt's error.
         last: SimError,
     },
-    /// The caller's deadline expired before any attempt succeeded
-    /// (see [`RetryPolicy::retry_within`]).
-    DeadlineExceeded {
-        /// Attempts completed before the deadline fired.
-        attempts: u32,
-        /// The last attempt's error, if at least one attempt ran.
-        last: Option<SimError>,
-    },
 }
 
 impl fmt::Display for RetryError {
@@ -98,35 +89,8 @@ impl fmt::Display for RetryError {
             RetryError::Sim { attempts, last } => {
                 write!(f, "all {attempts} attempts failed; last error: {last}")
             }
-            RetryError::DeadlineExceeded { attempts, last } => {
-                write!(f, "deadline exceeded after {attempts} attempt(s)")?;
-                if let Some(last) = last {
-                    write!(f, "; last error: {last}")?;
-                }
-                Ok(())
-            }
         }
     }
-}
-
-/// Why a generic bounded-retry loop ([`RetryPolicy::retry_generic`])
-/// stopped without a success.
-#[derive(Clone, PartialEq, Debug)]
-pub enum RetryStop<E> {
-    /// The attempt budget ran out; the last error is kept.
-    Exhausted {
-        /// Attempts made.
-        attempts: u32,
-        /// The final attempt's error.
-        last: E,
-    },
-    /// The deadline passed between attempts.
-    DeadlineExceeded {
-        /// Attempts completed before the deadline fired.
-        attempts: u32,
-        /// The last attempt's error, if at least one attempt ran.
-        last: Option<E>,
-    },
 }
 
 impl Error for RetryError {}
@@ -238,63 +202,28 @@ impl RetryPolicy {
         }
     }
 
-    /// The generic bounded-retry core: retries an arbitrary fallible
-    /// operation (given the 0-based attempt index) until it succeeds,
-    /// the attempt budget runs out, or the optional `deadline` passes.
-    ///
-    /// The deadline is checked *between* attempts (an in-flight attempt
-    /// is never interrupted — callers needing hard preemption run the
-    /// whole loop under the orchestrator's job deadline instead), so at
-    /// most one attempt completes after the deadline instant. Values
-    /// of `max_attempts` below 1 behave as 1: the operation always gets
-    /// at least one attempt, unless the deadline has already passed
-    /// before the first one.
-    ///
-    /// # Errors
-    ///
-    /// [`RetryStop::Exhausted`] with the last error when the budget
-    /// runs out; [`RetryStop::DeadlineExceeded`] when the deadline
-    /// fires first (carrying the last error seen, if any).
-    pub fn retry_generic<T, E>(
-        &self,
-        deadline: Option<Instant>,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, RetryStop<E>> {
-        let attempts = self.max_attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(RetryStop::DeadlineExceeded {
-                    attempts: attempt,
-                    last,
-                });
-            }
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(RetryStop::Exhausted {
-            attempts,
-            last: last.expect("loop ran at least once"),
-        })
-    }
-
     /// Retries an arbitrary fallible operation (given the 0-based
-    /// attempt index) until it succeeds.
+    /// attempt index) until it succeeds. Values of `max_attempts`
+    /// below 1 behave as 1: the operation always gets one attempt.
     ///
     /// # Errors
     ///
     /// [`RetryError::Sim`] with the last error if every attempt failed.
     pub fn retry<T>(
         &self,
-        op: impl FnMut(u32) -> Result<T, SimError>,
+        mut op: impl FnMut(u32) -> Result<T, SimError>,
     ) -> Result<T, RetryError> {
-        self.retry_generic(None, op).map_err(|stop| match stop {
-            RetryStop::Exhausted { attempts, last } => RetryError::Sim { attempts, last },
-            RetryStop::DeadlineExceeded { .. } => {
-                unreachable!("no deadline was supplied")
+        let attempts = self.max_attempts.max(1);
+        let mut last = None;
+        for attempt in 0..attempts {
+            match op(attempt) {
+                Ok(v) => return Ok(v),
+                Err(e) => last = Some(e),
             }
+        }
+        Err(RetryError::Sim {
+            attempts,
+            last: last.expect("loop ran at least once"),
         })
     }
 
@@ -362,30 +291,6 @@ impl RetryPolicy {
                 last: first_err.expect("a pending member has a recorded error"),
             })
         }
-    }
-
-    /// Deadline-aware [`RetryPolicy::retry`]: gives up as soon as
-    /// `deadline` has passed between attempts, even with budget left —
-    /// the shape long-running attack campaigns need so a noisy phase
-    /// cannot eat the whole experiment's time box.
-    ///
-    /// # Errors
-    ///
-    /// [`RetryError::Sim`] if the attempt budget ran out first;
-    /// [`RetryError::DeadlineExceeded`] if the deadline fired mid-retry
-    /// (carrying the last simulator error seen, if any attempt ran).
-    pub fn retry_within<T>(
-        &self,
-        deadline: Instant,
-        op: impl FnMut(u32) -> Result<T, SimError>,
-    ) -> Result<T, RetryError> {
-        self.retry_generic(Some(deadline), op)
-            .map_err(|stop| match stop {
-                RetryStop::Exhausted { attempts, last } => RetryError::Sim { attempts, last },
-                RetryStop::DeadlineExceeded { attempts, last } => {
-                    RetryError::DeadlineExceeded { attempts, last }
-                }
-            })
     }
 }
 
@@ -520,67 +425,6 @@ mod tests {
             RetryError::Sim {
                 attempts: 1,
                 last: SimError::Timeout { cycles: 1 }
-            }
-        );
-    }
-
-    #[test]
-    fn deadline_already_passed_stops_before_first_attempt() {
-        let p = RetryPolicy::default();
-        let err = p
-            .retry_within::<()>(Instant::now(), |_| {
-                panic!("the operation must not run past a spent deadline")
-            })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RetryError::DeadlineExceeded {
-                attempts: 0,
-                last: None
-            }
-        );
-    }
-
-    #[test]
-    fn deadline_exceeded_mid_retry_keeps_last_error() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            ..RetryPolicy::default()
-        };
-        let deadline = Instant::now() + std::time::Duration::from_millis(5);
-        let err = p
-            .retry_within::<()>(deadline, |attempt| {
-                assert_eq!(attempt, 0, "only the pre-deadline attempt runs");
-                // Burn through the deadline inside the first attempt.
-                while Instant::now() < deadline {
-                    std::hint::spin_loop();
-                }
-                Err(SimError::Timeout { cycles: 99 })
-            })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RetryError::DeadlineExceeded {
-                attempts: 1,
-                last: Some(SimError::Timeout { cycles: 99 })
-            }
-        );
-    }
-
-    #[test]
-    fn retry_generic_works_over_non_sim_errors() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let err = p
-            .retry_generic::<(), &str>(None, |_| Err("custom failure"))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RetryStop::Exhausted {
-                attempts: 3,
-                last: "custom failure"
             }
         );
     }

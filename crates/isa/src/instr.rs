@@ -359,21 +359,6 @@ impl Instr {
         };
         (!rd.is_zero()).then_some(rd)
     }
-
-    /// Whether this instruction is a control-flow instruction.
-    #[must_use]
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. }
-        )
-    }
-
-    /// Whether this instruction accesses data memory.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. })
-    }
 }
 
 impl fmt::Display for Instr {
@@ -523,25 +508,6 @@ mod tests {
             imm: 5,
         };
         assert_eq!(i.dest(), None);
-    }
-
-    #[test]
-    fn classification_predicates() {
-        assert!(Instr::Jal {
-            rd: Reg::ZERO,
-            target: 0
-        }
-        .is_control());
-        assert!(Instr::Load {
-            rd: Reg::T0,
-            base: Reg::SP,
-            offset: 0,
-            width: Width::Byte,
-            signed: false
-        }
-        .is_mem());
-        assert!(!Instr::Nop.is_control());
-        assert!(!Instr::Nop.is_mem());
     }
 
     #[test]

@@ -236,13 +236,6 @@ impl ChaosPlan {
         ChaosPlan::new(vec![ChaosEvent { site, nth, kind }])
     }
 
-    /// A plan that kills the process at the `nth` operation on `site` —
-    /// the crash-point constructor the recovery matrix iterates.
-    #[must_use]
-    pub fn crash_at(site: Site, nth: u64) -> ChaosPlan {
-        ChaosPlan::single(site, nth, ChaosKind::Crash)
-    }
-
     /// A seeded pseudo-random plan of `n` *recoverable* faults, each
     /// drawn at a random site with a kind meaningful for that site's
     /// operation class. Mirrors `FaultPlan::random`: the same seed
@@ -736,7 +729,11 @@ mod tests {
     #[test]
     fn a_crash_kills_every_later_routed_operation_without_touching_disk() {
         let dir = TempDir::new("chaos_dead");
-        let guard = install(&ChaosPlan::crash_at(Site::JournalAppendSync, 0));
+        let guard = install(&ChaosPlan::single(
+            Site::JournalAppendSync,
+            0,
+            ChaosKind::Crash,
+        ));
         let mut f = tmp_file(&dir, "f");
         assert!(write_all(Site::JournalAppendWrite, &mut f, b"live").is_ok());
         let err = sync_data(Site::JournalAppendSync, &f).unwrap_err();
@@ -763,7 +760,7 @@ mod tests {
     fn guard_drop_uninstalls() {
         let dir = TempDir::new("chaos_drop");
         {
-            let _guard = install(&ChaosPlan::crash_at(Site::PublishRename, 0));
+            let _guard = install(&ChaosPlan::single(Site::PublishRename, 0, ChaosKind::Crash));
             let err =
                 rename(Site::PublishRename, &dir.path().join("a"), &dir.path().join("b"))
                     .unwrap_err();

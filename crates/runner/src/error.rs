@@ -32,17 +32,6 @@ pub enum RunnerError {
     },
 }
 
-impl RunnerError {
-    /// Consumes the error, yielding whatever entries were salvaged
-    /// before the failure (empty if nothing was).
-    #[must_use]
-    pub fn into_salvaged(self) -> Vec<PathBuf> {
-        match self {
-            RunnerError::DirScan { salvaged, .. } => salvaged,
-        }
-    }
-}
-
 impl fmt::Display for RunnerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -84,8 +73,9 @@ mod tests {
         assert!(msg.contains("/nowhere/results"), "{msg}");
         assert!(msg.contains("after 2 entries"), "{msg}");
         assert!(err.source().is_some());
+        let RunnerError::DirScan { salvaged, .. } = err;
         assert_eq!(
-            err.into_salvaged(),
+            salvaged,
             vec![PathBuf::from("a.txt"), PathBuf::from("b.txt")]
         );
     }

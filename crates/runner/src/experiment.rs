@@ -11,7 +11,7 @@
 
 use std::fmt::{self, Display};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which variant of an experiment to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -80,7 +80,9 @@ impl<E: std::error::Error> From<E> for Failure {
 }
 
 /// The handle an experiment body receives: output sink, profile/seed
-/// parameters, extra standalone options, and the cooperative deadline.
+/// parameters, extra standalone options and the fleet thread count.
+/// Deadlines are the supervisor's business, not the body's: a wedged
+/// attempt is abandoned from outside, never asked to stop.
 ///
 /// Cloning a `Ctx` clones the *handle*; all clones share one output
 /// buffer (that is how the executor snapshots partial output after a
@@ -89,28 +91,19 @@ impl<E: std::error::Error> From<E> for Failure {
 pub struct Ctx {
     profile: Profile,
     seed: u64,
-    deadline: Option<Instant>,
     opts: Vec<String>,
     fleet_threads: usize,
     out: Arc<Mutex<String>>,
 }
 
 impl Ctx {
-    /// A context for one run of an experiment. `deadline` is the
-    /// instant after which [`Ctx::deadline_exceeded`] reports true;
-    /// `opts` are extra pass-through flags from a standalone bin (e.g.
-    /// `--full-slice`).
+    /// A context for one run of an experiment. `opts` are extra
+    /// pass-through flags from a standalone bin (e.g. `--full-slice`).
     #[must_use]
-    pub fn new(
-        profile: Profile,
-        seed: u64,
-        deadline: Option<Instant>,
-        opts: Vec<String>,
-    ) -> Ctx {
+    pub fn new(profile: Profile, seed: u64, opts: Vec<String>) -> Ctx {
         Ctx {
             profile,
             seed,
-            deadline,
             opts,
             fleet_threads: 0,
             out: Arc::new(Mutex::new(String::new())),
@@ -119,8 +112,8 @@ impl Ctx {
 
     /// Sets the worker-thread count experiments pass to fleet grids
     /// (`0` = the process-wide default, see
-    /// `pandora_sim::fleet::set_default_threads`). Builder-style so the
-    /// 4-argument [`Ctx::new`] signature stays stable.
+    /// `pandora_sim::fleet::set_default_threads`). Builder-style, as
+    /// only the suite sets it.
     #[must_use]
     pub fn with_fleet_threads(mut self, threads: usize) -> Ctx {
         self.fleet_threads = threads;
@@ -157,14 +150,6 @@ impl Ctx {
     #[must_use]
     pub fn has_opt(&self, flag: &str) -> bool {
         self.opts.iter().any(|o| o == flag)
-    }
-
-    /// Whether the per-experiment deadline has passed. Long loops check
-    /// this to degrade gracefully before the orchestrator's watchdog
-    /// declares the run wedged.
-    #[must_use]
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     fn buffer(&self) -> MutexGuard<'_, String> {
@@ -254,7 +239,7 @@ mod tests {
 
     #[test]
     fn ctx_collects_lines_headers_and_partial_snapshots() {
-        let ctx = Ctx::new(Profile::Smoke, 7, None, vec!["--x".into()]);
+        let ctx = Ctx::new(Profile::Smoke, 7, vec!["--x".into()]);
         ctx.header("T");
         outln!(ctx, "a = {}", 1);
         outln!(ctx);
@@ -267,14 +252,6 @@ mod tests {
         let clone = ctx.clone();
         outln!(clone, "b");
         assert!(ctx.output().ends_with("b\n"));
-    }
-
-    #[test]
-    fn deadline_reporting() {
-        let past = Ctx::new(Profile::Full, 0, Some(Instant::now()), Vec::new());
-        assert!(past.deadline_exceeded());
-        let none = Ctx::new(Profile::Full, 0, None, Vec::new());
-        assert!(!none.deadline_exceeded());
     }
 
     #[test]

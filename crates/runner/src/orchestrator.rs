@@ -203,15 +203,6 @@ impl SuiteReport {
             .any(|e| matches!(e.status, Status::Failed { .. }))
     }
 
-    /// Number of experiments skipped as [`Status::Degraded`].
-    #[must_use]
-    pub fn degraded_count(&self) -> usize {
-        self.experiments
-            .iter()
-            .filter(|e| matches!(e.status, Status::Degraded { .. }))
-            .count()
-    }
-
     /// Renders the machine-readable `summary.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -473,10 +464,8 @@ fn attempt(exp: &Experiment, ctx: &Ctx, deadline: Duration) -> AttemptResult {
         }
         Err(RecvTimeoutError::Timeout) => {
             // The experiment is wedged. Threads cannot be killed; the
-            // worker abandons it (it keeps running detached until
-            // process exit — the cooperative `Ctx::deadline_exceeded`
-            // check lets well-behaved loops wind down early) and the
-            // suite degrades this entry to a recorded partial failure.
+            // attempt is abandoned (it keeps running detached until
+            // process exit) and recorded as a partial failure.
             drop(handle);
             AttemptResult::TimedOut(deadline)
         }
@@ -510,12 +499,7 @@ pub fn execute(
     let mut used: u32 = 0;
     let mut output = String::new();
     for i in 0..attempts {
-        let ctx = Ctx::new(
-            profile,
-            seed,
-            Some(Instant::now() + deadline),
-            opts.to_vec(),
-        );
+        let ctx = Ctx::new(profile, seed, opts.to_vec());
         used = i + 1;
         let result = attempt(exp, &ctx, deadline);
         output = ctx.output();
@@ -747,13 +731,8 @@ fn worker_loop(
                 status = Some(Status::Degraded { reason });
                 break;
             }
-            let ctx = Ctx::new(
-                cfg.profile,
-                cfg.seed,
-                Some(Instant::now() + deadline),
-                Vec::new(),
-            )
-            .with_fleet_threads(cfg.fleet_threads);
+            let ctx =
+                Ctx::new(cfg.profile, cfg.seed, Vec::new()).with_fleet_threads(cfg.fleet_threads);
             used = i + 1;
             let _ = tx.send(Event::AttemptStarted {
                 worker: id,

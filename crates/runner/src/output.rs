@@ -89,8 +89,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// [`RunnerError::DirScan`] if the directory cannot be opened
 /// (`salvaged` empty) or an entry fails mid-iteration (`salvaged`
 /// holds every entry read before the failure) — callers that can
-/// tolerate a truncated listing recover it with
-/// [`RunnerError::into_salvaged`].
+/// tolerate a truncated listing take it from `salvaged`.
 pub fn scan_dir(dir: &Path) -> Result<Vec<PathBuf>, RunnerError> {
     let iter = fs::read_dir(dir).map_err(|source| RunnerError::DirScan {
         dir: dir.to_path_buf(),
@@ -196,7 +195,8 @@ mod tests {
 
         let err = scan_dir(&dir.path().join("no_such_subdir")).unwrap_err();
         assert!(err.to_string().contains("after 0 entries"), "{err}");
-        assert!(err.into_salvaged().is_empty());
+        let RunnerError::DirScan { salvaged, .. } = err;
+        assert!(salvaged.is_empty());
     }
 
     #[test]

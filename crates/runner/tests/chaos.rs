@@ -162,7 +162,7 @@ fn crash_point_matrix_heals_to_byte_identical_artifacts() {
             let crashed = run_suite(
                 &registry,
                 &SuiteOptions {
-                    chaos: Some(ChaosPlan::crash_at(site, nth)),
+                    chaos: Some(ChaosPlan::single(site, nth, ChaosKind::Crash)),
                     ..options(&dir)
                 },
             );
@@ -271,7 +271,11 @@ fn a_kill_during_recovery_truncation_is_survivable_too() {
     let err = run_suite(
         &registry,
         &SuiteOptions {
-            chaos: Some(ChaosPlan::crash_at(Site::JournalRecoverTruncate, 0)),
+            chaos: Some(ChaosPlan::single(
+                Site::JournalRecoverTruncate,
+                0,
+                ChaosKind::Crash,
+            )),
             ..recovery_options(&dir)
         },
     )

@@ -25,8 +25,8 @@ fn panicker(ctx: &Ctx) -> Result<(), Failure> {
 
 fn wedger(ctx: &Ctx) -> Result<(), Failure> {
     outln!(ctx, "entering the tar pit");
-    // A true wedge: ignores the cooperative deadline entirely. The
-    // orchestrator must abandon the thread when the deadline fires.
+    // A true wedge: it never returns. The orchestrator must abandon
+    // the thread when the deadline fires.
     loop {
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -353,7 +353,12 @@ fn circuit_breaker_opens_after_repeated_panics_and_degrades() {
     // were skipped: only one retry was consumed.
     assert_eq!(bad.retries, 1);
     assert_eq!(report.health.breakers_open, vec!["bad".to_string()]);
-    assert_eq!(report.degraded_count(), 1);
+    let degraded = report
+        .experiments
+        .iter()
+        .filter(|e| matches!(e.status, Status::Degraded { .. }))
+        .count();
+    assert_eq!(degraded, 1);
     assert!(report.none_failed(), "degraded is not failed");
     let summary = std::fs::read_to_string(dir.path().join("summary.json")).unwrap();
     assert!(summary.contains("\"status\": \"degraded\""));

@@ -66,12 +66,6 @@ impl DuoMachine {
         &mut self.shared_l2
     }
 
-    /// Whether the shared L2 currently holds the line of `addr`.
-    #[must_use]
-    pub fn l2_holds(&self, addr: u64) -> bool {
-        self.shared_l2.probe(addr)
-    }
-
     fn step_core(
         core: &mut Machine,
         shared: &mut Cache,
@@ -161,7 +155,10 @@ mod tests {
         });
         let mut duo = DuoMachine::new(sender, idle);
         duo.run(100_000).unwrap();
-        assert!(duo.l2_holds(0x4000), "sender's fill lands in the shared L2");
+        assert!(
+            duo.shared_l2().probe(0x4000),
+            "sender's fill lands in the shared L2"
+        );
         assert!(
             !duo.core_b().hierarchy().in_l1(0x4000),
             "receiver's private L1 is untouched"
@@ -188,7 +185,10 @@ mod tests {
         });
         let mut duo = DuoMachine::new(a, b);
         duo.run(1_000_000).unwrap();
-        assert!(duo.l2_holds(0x8000), "A's fill is in the shared L2");
+        assert!(
+            duo.shared_l2().probe(0x8000),
+            "A's fill is in the shared L2"
+        );
         assert!(
             duo.core_b().stats().l2_hits >= 1,
             "B's load of A's line hits the shared L2, not DRAM: {:?}",
@@ -275,7 +275,10 @@ mod tests {
         });
         let mut duo = DuoMachine::new(victim, attacker);
         duo.run(1_000_000).unwrap();
-        assert!(!duo.l2_holds(0x4000), "victim's line displaced from L2");
+        assert!(
+            !duo.shared_l2().probe(0x4000),
+            "victim's line displaced from L2"
+        );
         assert!(
             duo.core_a().hierarchy().in_l1(0x4000),
             "victim's private L1 copy is out of the attacker's reach"

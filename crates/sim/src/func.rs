@@ -1,9 +1,8 @@
 //! A functional (in-order, timing-free) reference emulator.
 //!
-//! Used for differential testing of the out-of-order pipeline: on any
+//! The differential oracle for the out-of-order pipeline: on any
 //! program, the architectural state produced by [`Machine`] must match
-//! the state produced by [`Emulator`] exactly. Attack code also uses it
-//! to precompute expected victim results cheaply.
+//! the state produced by [`Emulator`] exactly.
 //!
 //! [`Machine`]: crate::Machine
 
@@ -29,16 +28,6 @@ pub enum EmuError {
         /// The runaway instruction index.
         pc: usize,
     },
-    /// A `rdcycle` was reached inside a fast-forward prefix
-    /// ([`Emulator::run_to_pc`]). The emulator's timer is a dynamic
-    /// instruction count while the pipeline's is a (noise-quantized)
-    /// cycle count, so executing it here would hand the cycle-accurate
-    /// region a poisoned timer value; the handoff contract rejects the
-    /// prefix instead.
-    RdCycleInPrefix {
-        /// The offending instruction index.
-        pc: usize,
-    },
 }
 
 impl fmt::Display for EmuError {
@@ -49,9 +38,6 @@ impl fmt::Display for EmuError {
                 write!(f, "no halt within {steps} steps")
             }
             EmuError::WildPc { pc } => write!(f, "control flow left the program at pc {pc}"),
-            EmuError::RdCycleInPrefix { pc } => {
-                write!(f, "rdcycle at pc {pc} inside a fast-forward prefix")
-            }
         }
     }
 }
@@ -98,12 +84,6 @@ impl Emulator {
         }
     }
 
-    /// All architectural registers, indexed by [`Reg::index`].
-    #[must_use]
-    pub fn regs(&self) -> &[u64; Reg::COUNT] {
-        &self.regs
-    }
-
     /// The memory.
     #[must_use]
     pub fn mem(&self) -> &Memory {
@@ -113,12 +93,6 @@ impl Emulator {
     /// Mutable access to the memory.
     pub fn mem_mut(&mut self) -> &mut Memory {
         &mut self.mem
-    }
-
-    /// Dynamic instructions executed so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
     }
 
     /// Runs `prog` from instruction 0 until `halt`, for at most
@@ -143,56 +117,6 @@ impl Emulator {
             pc = match self.step_at(instr, pc)? {
                 Some(next) => next,
                 None => return Ok(()),
-            };
-        }
-    }
-
-    /// Runs `prog` from instruction 0 until control is *about to*
-    /// execute `stop_pc`, for at most `max_steps` dynamic instructions
-    /// — the functional tier of a two-tier (fast-forward + pipeline)
-    /// run. Returns the pc where execution stopped so a pipeline
-    /// machine can resume fetching there.
-    ///
-    /// Stops early, with `Ok`, if the next instruction is `halt`
-    /// (the halt is left unexecuted for the cycle-accurate tier to
-    /// commit).
-    ///
-    /// The prefix must be timing-free: a `rdcycle` inside it would
-    /// observe the emulator's instruction counter, not the pipeline's
-    /// noise-quantized cycle counter, so it is rejected with
-    /// [`EmuError::RdCycleInPrefix`] *before* executing.
-    ///
-    /// # Errors
-    ///
-    /// As [`Emulator::run`], plus [`EmuError::RdCycleInPrefix`].
-    pub fn run_to_pc(
-        &mut self,
-        prog: &Program,
-        stop_pc: usize,
-        max_steps: u64,
-    ) -> Result<usize, EmuError> {
-        let mut pc = 0usize;
-        let start = self.steps;
-        loop {
-            if pc == stop_pc {
-                return Ok(pc);
-            }
-            let Some(&instr) = prog.get(pc) else {
-                return Err(EmuError::WildPc { pc });
-            };
-            if matches!(instr, Instr::Halt) {
-                return Ok(pc);
-            }
-            if matches!(instr, Instr::RdCycle { .. }) {
-                return Err(EmuError::RdCycleInPrefix { pc });
-            }
-            if self.steps - start >= max_steps {
-                return Err(EmuError::StepLimit { steps: max_steps });
-            }
-            self.steps += 1;
-            pc = match self.step_at(instr, pc)? {
-                Some(next) => next,
-                None => unreachable!("halt is intercepted above"),
             };
         }
     }

@@ -26,7 +26,6 @@ use pandora_isa::{Program, Reg};
 
 use crate::config::SimConfig;
 use crate::fault::FaultPlan;
-use crate::func::{EmuError, Emulator};
 use crate::mem::hierarchy::Hierarchy;
 use crate::mem::memory::Memory;
 use crate::opt::hook::{FaultHook, Hooks};
@@ -366,66 +365,6 @@ impl Machine {
             self.step()?;
         }
         Ok(())
-    }
-
-    /// Two-tier execution: runs the program prefix up to `boundary_pc`
-    /// on the functional [`Emulator`] (timing-free, ~100× cheaper per
-    /// instruction) and seeds a fresh pipeline machine from the
-    /// resulting *architectural* state — registers, memory, and the
-    /// resume pc.
-    ///
-    /// The tier boundary is architectural only: the returned machine
-    /// starts at cycle 0 with cold caches, cold predictors, and fresh
-    /// hook state, exactly as if the prefix's register/memory effects
-    /// had been preloaded by hand. Microarchitectural warm-up done by
-    /// the prefix is *not* carried over — use
-    /// [`Machine::snapshot`]/[`Machine::restore`] when cache and
-    /// predictor state must survive the boundary.
-    ///
-    /// The prefix must be timing-free: a `rdcycle` before the boundary
-    /// is rejected ([`EmuError::RdCycleInPrefix`]) because the
-    /// emulator's timer counts instructions while the pipeline's
-    /// counts (noise-quantized) cycles. `rdcycle` *after* the boundary
-    /// is fine and measures the cycle-accurate region only.
-    ///
-    /// # Errors
-    ///
-    /// As [`Emulator::run_to_pc`].
-    pub fn fast_forward(
-        cfg: SimConfig,
-        prog: &Program,
-        boundary_pc: usize,
-        max_steps: u64,
-    ) -> Result<Machine, EmuError> {
-        let mut emu = Emulator::new(Memory::new(cfg.mem_size));
-        let pc = emu.run_to_pc(prog, boundary_pc, max_steps)?;
-        let mut m = Machine::new(cfg);
-        m.load_program(prog);
-        m.seed_from_emulator(&emu, pc);
-        Ok(m)
-    }
-
-    /// Adopts an emulator's architectural state — registers, memory —
-    /// and resumes fetch at `resume_pc`. The machine must not have
-    /// stepped yet; callers that need to pre-seed memory before the
-    /// functional prefix runs can drive [`Emulator::run_to_pc`]
-    /// themselves and finish the handoff here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the machine has started executing.
-    pub fn seed_from_emulator(&mut self, emu: &Emulator, resume_pc: usize) {
-        assert_eq!(
-            self.state.cycle, 0,
-            "seed_from_emulator is only valid before run()"
-        );
-        for (i, &v) in emu.regs().iter().enumerate() {
-            self.state.arch_regs[i] = v;
-            let tag = self.state.rat[i] as usize;
-            self.state.prf_vals[tag] = v;
-        }
-        self.state.mem.restore_from(emu.mem());
-        self.state.fetch_pc = resume_pc;
     }
 
     /// Installs a fault plan: each scheduled event is applied at the

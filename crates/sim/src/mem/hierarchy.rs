@@ -120,8 +120,8 @@ impl Hierarchy {
 
     /// Marks this hierarchy's L2 slot as a detached placeholder: the
     /// authoritative cache is owned elsewhere (a shared-L2 harness), and
-    /// the public views ([`Hierarchy::l2`], [`Hierarchy::l2_mut`],
-    /// [`Hierarchy::in_l2`]) panic until it is swapped back in.
+    /// the public views ([`Hierarchy::l2`], [`Hierarchy::in_l2`]) panic
+    /// until it is swapped back in.
     pub(crate) fn mark_l2_detached(&mut self) {
         self.l2_detached = true;
     }
@@ -251,24 +251,6 @@ impl Hierarchy {
              harness; use DuoMachine::shared_l2() instead"
         );
         &self.l2
-    }
-
-    /// Mutable access to the L2 (e.g. for targeted eviction between
-    /// steps).
-    ///
-    /// # Panics
-    ///
-    /// If the L2 is detached to a shared-L2 harness; use
-    /// [`DuoMachine::shared_l2_mut`] instead.
-    ///
-    /// [`DuoMachine::shared_l2_mut`]: crate::DuoMachine::shared_l2_mut
-    pub fn l2_mut(&mut self) -> &mut Cache {
-        assert!(
-            !self.l2_detached,
-            "this core's L2 is detached: it is shared through a multicore \
-             harness; use DuoMachine::shared_l2_mut() instead"
-        );
-        &mut self.l2
     }
 }
 

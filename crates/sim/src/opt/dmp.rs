@@ -104,15 +104,6 @@ impl Imp {
         self.levels
     }
 
-    /// Confirmed (src_pc, dst_pc, base, scale) chains, for tests.
-    #[must_use]
-    pub fn confirmed_patterns(&self) -> Vec<(usize, usize, u64, u64)> {
-        self.confirmed
-            .iter()
-            .map(|i| (i.src_pc, i.dst_pc, i.base, i.scale))
-            .collect()
-    }
-
     /// Feeds one committed load into the prefetcher and performs any
     /// resulting prefetch chain against `mem`/`hier`, reporting
     /// observation through the event bus.
@@ -348,10 +339,10 @@ mod tests {
         let mut r = rig(2);
         seed_arrays(&mut r, &[3, 1, 4, 7, 5, 0, 2, 6], &[23, 5, 71, 13, 47, 2, 90, 31]);
         drive(&mut r, 6);
-        let pats = r.imp.confirmed_patterns();
+        let pats = &r.imp.confirmed;
         assert!(
             pats.iter()
-                .any(|&(s, d, b, k)| s == Z_PC && d == Y_PC && b == Y_BASE && k == 8),
+                .any(|i| i.src_pc == Z_PC && i.dst_pc == Y_PC && i.base == Y_BASE && i.scale == 8),
             "Z→Y pattern with base {Y_BASE:#x} scale 8 should confirm; got {pats:?}"
         );
     }

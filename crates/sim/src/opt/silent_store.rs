@@ -57,12 +57,6 @@ impl SsState {
             SsState::NoPort | SsState::NotChecked => Err(NonSilentReason::NoLoadPort),
         }
     }
-
-    /// Whether an SS-load is currently in flight.
-    #[must_use]
-    pub fn is_outstanding(self) -> bool {
-        matches!(self, SsState::Outstanding { .. })
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +91,6 @@ mod tests {
     #[test]
     fn case_d_late() {
         let s = SsState::Outstanding { done_cycle: 99 };
-        assert!(s.is_outstanding());
         assert_eq!(s.dequeue_decision(), Err(NonSilentReason::SsLoadLate));
     }
 }

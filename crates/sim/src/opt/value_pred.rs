@@ -106,12 +106,6 @@ impl ValuePredictor {
             }
         }
     }
-
-    /// Current confidence for `pc` (0 if never seen).
-    #[must_use]
-    pub fn confidence(&self, pc: usize) -> u8 {
-        self.table.get(&pc).map_or(0, |e| e.conf)
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +133,7 @@ mod tests {
         assert_eq!(vp.predict(10), Some(7));
         vp.update(10, 8);
         assert_eq!(vp.predict(10), None);
-        assert_eq!(vp.confidence(10), 0);
+        assert_eq!(vp.table[&10].conf, 0);
     }
 
     #[test]

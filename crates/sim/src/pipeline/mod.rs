@@ -215,7 +215,7 @@ pub(crate) struct SqEntry {
 ///
 /// Stage modules and optimization hooks share this one struct; its
 /// fields are crate-internal, so outside the crate it is an opaque
-/// handle whose event bus is reachable via [`PipelineState::bus_mut`].
+/// handle whose event bus is readable via [`PipelineState::bus`].
 #[derive(Clone, Debug)]
 pub struct PipelineState {
     pub(crate) cfg: SimConfig,
@@ -448,11 +448,6 @@ impl PipelineState {
     #[must_use]
     pub fn bus(&self) -> &EventBus {
         &self.bus
-    }
-
-    /// The event bus, mutably — how hooks emit [`SimEvent`]s.
-    pub fn bus_mut(&mut self) -> &mut EventBus {
-        &mut self.bus
     }
 
     // ---- Register tag plumbing ---------------------------------------

@@ -187,6 +187,8 @@ fn no_leak_on_the_baseline_machine_cross_core() {
 
     let mut duo = DuoMachine::new(victim, receiver);
     duo.run(10_000_000).expect("both cores halt");
-    let hot_secret_line = duo.l2_holds(layout.map_base(2) + u64::from(secret) * 64);
+    let hot_secret_line = duo
+        .shared_l2()
+        .probe(layout.map_base(2) + u64::from(secret) * 64);
     assert!(!hot_secret_line, "no prefetcher, no transmission");
 }

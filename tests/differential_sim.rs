@@ -2,11 +2,13 @@
 //! the in-order functional emulator must produce identical
 //! architectural state — registers and memory — no matter which
 //! optimizations are enabled. (The paper's whole point is that the
-//! optimizations change *timing*, never *results*.)
+//! optimizations change *timing*, never *results*.) A checkpoint fork
+//! taken at any cycle must likewise continue exactly as the straight
+//! run does, timing included.
 
 use pandora::isa::{AluOp, Asm, BranchCond, Program, Reg};
 use pandora::sim::{
-    traffic_program, DuoMachine, EmuError, Emulator, Machine, Memory, OptConfig, ReuseKey,
+    traffic_program, DuoMachine, Emulator, Machine, Memory, NoiseConfig, OptConfig, ReuseKey,
     RfcMatch, SimConfig,
 };
 use proptest::prelude::*;
@@ -226,100 +228,20 @@ fn traffic_corunner_matches_emulator_on_both_cores() {
     }
 }
 
-/// Builds a two-tier program: a timing-free warm-up prefix, then a
-/// measured suffix. Returns `(program, boundary_pc, prefix_rdcycle_pc)`
-/// where the last is `Some(pc)` when a `rdcycle` was planted inside the
-/// prefix to violate the handoff contract.
-fn two_tier_program(rdcycle_in_prefix: bool) -> (Program, usize, Option<usize>) {
-    let mut a = Asm::new();
-    a.li(Reg::T0, 0);
-    a.li(Reg::T1, 40);
-    a.label("warm");
-    a.add(Reg::T0, Reg::T0, Reg::T1);
-    a.sd(Reg::T0, Reg::ZERO, 0x2000);
-    a.ld(Reg::T2, Reg::ZERO, 0x2000);
-    a.addi(Reg::T1, Reg::T1, -1);
-    a.bnez(Reg::T1, "warm");
-    let poison = if rdcycle_in_prefix {
-        let pc = a.here();
-        a.rdcycle(Reg::A0);
-        Some(pc)
+/// The machine the fork property runs a recipe on: baseline or every
+/// optimization on, quiet or under noise windowed onto the recipes'
+/// store window.
+fn fork_cfg(opts_on: bool, noisy: bool, seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::with_opts(if opts_on {
+        all_on()
     } else {
-        None
-    };
-    let boundary = a.here();
-    // Suffix: timing measurement is legal on the cycle-accurate side.
-    a.rdcycle(Reg::A1);
-    a.ld(Reg::T3, Reg::ZERO, 0x2000);
-    a.add(Reg::T3, Reg::T3, Reg::T0);
-    a.sd(Reg::T3, Reg::ZERO, 0x2008);
-    a.fence();
-    a.rdcycle(Reg::A2);
-    a.sub(Reg::A2, Reg::A2, Reg::A1);
-    a.halt();
-    (a.assemble().unwrap(), boundary, poison)
-}
-
-#[test]
-fn fast_forward_rejects_rdcycle_in_prefix() {
-    // The emulator's timer counts instructions, the pipeline's counts
-    // noise-quantized cycles: a rdcycle inside the fast-forward region
-    // would hand the measured suffix a poisoned baseline, so the
-    // handoff contract rejects it at the exact pc.
-    let (prog, boundary, poison) = two_tier_program(true);
-    let err = Machine::fast_forward(SimConfig::default(), &prog, boundary, 1_000_000)
-        .expect_err("prefix rdcycle must be rejected");
-    assert_eq!(err, EmuError::RdCycleInPrefix { pc: poison.unwrap() });
-
-    // The same program is still legal for a whole-pipeline run (the
-    // contract governs only the functional tier)...
-    let mut m = Machine::new(SimConfig::default());
-    m.load_program(&prog);
-    m.run(10_000_000).expect("full pipeline run completes");
-    // ...and for a fast-forward whose boundary stops short of it.
-    Machine::fast_forward(SimConfig::default(), &prog, poison.unwrap(), 1_000_000)
-        .expect("boundary before the rdcycle is fine");
-}
-
-#[test]
-fn fast_forward_matches_pipeline_and_emulator_architecturally() {
-    let (prog, boundary, _) = two_tier_program(false);
-
-    let mut emu = Emulator::new(Memory::new(SimConfig::default().mem_size));
-    emu.run(&prog, 1_000_000).expect("emulator completes");
-
-    let mut full = Machine::new(SimConfig::default());
-    full.load_program(&prog);
-    let full_stats = full.run(10_000_000).expect("full run completes");
-
-    let mut ff = Machine::fast_forward(SimConfig::default(), &prog, boundary, 1_000_000)
-        .expect("fast-forward succeeds");
-    let ff_stats = ff.run(10_000_000).expect("resumed run completes");
-
-    // Timer-derived registers (A1/A2) are excluded: instruction counts
-    // vs cycle counts vs suffix-only cycle counts all legitimately
-    // differ. Everything else must agree three ways.
-    for reg in Reg::all().filter(|r| !matches!(*r, Reg::A1 | Reg::A2)) {
-        assert_eq!(ff.reg(reg), emu.reg(reg), "register {reg} vs emulator");
-        assert_eq!(ff.reg(reg), full.reg(reg), "register {reg} vs pipeline");
+        OptConfig::baseline()
+    });
+    cfg.mem_size = 1 << 16;
+    if noisy {
+        cfg.noise = NoiseConfig::at_intensity(40, seed).with_window(0x1000, 0x1400);
     }
-    for addr in [0x2000u64, 0x2008] {
-        assert_eq!(ff.mem().read_u64(addr).unwrap(), emu.mem().read_u64(addr).unwrap());
-        assert_eq!(ff.mem().read_u64(addr).unwrap(), full.mem().read_u64(addr).unwrap());
-    }
-    // The measured suffix observed real (positive) elapsed cycles on
-    // both pipeline runs.
-    assert!(ff.reg(Reg::A2) > 0, "suffix rdcycle delta is live");
-    assert!(full.reg(Reg::A2) > 0);
-    // And the fast-forwarded run actually skipped the prefix on the
-    // cycle-accurate tier.
-    assert!(
-        ff_stats.committed < full_stats.committed / 2,
-        "prefix must not replay on the pipeline: ff committed {} vs full {}",
-        ff_stats.committed,
-        full_stats.committed
-    );
-    assert!(ff_stats.cycles < full_stats.cycles);
+    cfg
 }
 
 proptest! {
@@ -365,5 +287,56 @@ proptest! {
             (regs, mem)
         };
         prop_assert_eq!(run(OptConfig::baseline()), run(all_on()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fork_at_any_cycle_matches_the_straight_run(
+        r in recipe(),
+        other in recipe(),
+        opts_on: bool,
+        noisy: bool,
+        seed: u64,
+        pick: u64,
+    ) {
+        let prog = build(&r);
+        let cfg = fork_cfg(opts_on, noisy, seed);
+        let mut straight = Machine::new(cfg);
+        straight.load_program(&prog);
+        let total = straight.run(10_000_000).expect("straight run completes").cycles;
+
+        // Step a second machine to a random cycle of the run and fork.
+        let fork_at = pick % total;
+        let mut donor = Machine::new(cfg);
+        donor.load_program(&prog);
+        while donor.cycle() < fork_at {
+            donor.step().expect("prefix steps");
+        }
+        let ck = donor.snapshot();
+
+        // One fork lands on a machine that ran another program under
+        // the opposite config; the other is built from the checkpoint.
+        let mut dirty = Machine::new(fork_cfg(!opts_on, !noisy, !seed));
+        dirty.load_program(&build(&other));
+        dirty.run(10_000_000).expect("dirtying run completes");
+        dirty.restore(&ck);
+        let forks = [("restore", dirty), ("from_checkpoint", Machine::from_checkpoint(&ck))];
+        for (how, mut m) in forks {
+            m.run(10_000_000).expect("forked run completes");
+            let at = format!("{how} at cycle {fork_at} of {total}");
+            prop_assert_eq!(m.stats(), straight.stats(), "stats after {}", at);
+            for reg in Reg::all() {
+                prop_assert_eq!(m.reg(reg), straight.reg(reg), "register {} after {}", reg, at);
+            }
+            prop_assert_eq!(
+                m.mem().read_bytes(0x1000, 0x200).unwrap(),
+                straight.mem().read_bytes(0x1000, 0x200).unwrap(),
+                "bytes 0x1000..0x1200 after {}",
+                at
+            );
+        }
     }
 }

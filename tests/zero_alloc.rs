@@ -9,14 +9,18 @@
 //! Vecs and tag-snapshot collects that used to dominate the profile
 //! are gone, and nothing reintroduces them silently.
 //!
-//! One `#[test]` covers the quiet and noisy fig. 5 configurations plus
-//! a [`Machine::reset`] + re-warm leg serially: the allocator is
-//! process-global, so splitting the measurements into separate
-//! `#[test]` functions would let the harness interleave them on
-//! different threads and misattribute counts. The reset leg pins the
-//! other half of the hot-loop contract — rewinding a machine for
-//! another calibration trial neither allocates nor frees the buffers
-//! the steady state depends on.
+//! One `#[test]` runs five legs serially: the quiet and noisy fig. 5
+//! configurations, a [`Machine::reset`] + re-warm leg, a
+//! [`Machine::restore`] leg with no re-warm, and a fleet leg that
+//! steps pooled trials at one thread. The allocator is process-global,
+//! so splitting the measurements into separate `#[test]` functions
+//! would let the harness interleave them on different threads and
+//! misattribute counts. The reset leg pins the other half of the
+//! hot-loop contract — rewinding a machine for another calibration
+//! trial neither allocates nor frees the buffers the steady state
+//! depends on. The restore leg pins that a checkpoint carries those
+//! buffers' high-water marks, and the fleet leg that stepping inside a
+//! pooled trial allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
