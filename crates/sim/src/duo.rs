@@ -60,12 +60,6 @@ impl DuoMachine {
         &self.shared_l2
     }
 
-    /// Mutable access to the shared L2 (for priming or flushing lines
-    /// between steps).
-    pub fn shared_l2_mut(&mut self) -> &mut Cache {
-        &mut self.shared_l2
-    }
-
     fn step_core(
         core: &mut Machine,
         shared: &mut Cache,

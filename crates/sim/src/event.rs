@@ -6,7 +6,7 @@
 //! [`Trace`] log, and the attack-side DMP pattern probe — and maps each
 //! event onto them in one place. Stages never touch a counter or the
 //! trace directly, which is what keeps observation concerns out of the
-//! stage modules in [`crate::pipeline`].
+//! pipeline stage modules.
 
 use crate::mem::hierarchy::ServedBy;
 use crate::opt::comp_simpl::SimplEvent;
@@ -215,12 +215,19 @@ pub struct EventBus {
 
 impl EventBus {
     /// Capacity-preserving restore: stats copy, trace and pattern
-    /// buffers rewind in place.
+    /// buffers rewind in place. Destructured exhaustively, so a new
+    /// field that no restore copies fails to compile.
     pub(crate) fn restore_from(&mut self, src: &EventBus) {
-        self.cycle = src.cycle;
-        self.stats = src.stats;
-        self.trace.restore_from(&src.trace);
-        self.dmp_patterns.clone_from(&src.dmp_patterns);
+        let EventBus {
+            cycle,
+            stats,
+            trace,
+            dmp_patterns,
+        } = src;
+        self.cycle = *cycle;
+        self.stats = *stats;
+        self.trace.restore_from(trace);
+        self.dmp_patterns.clone_from(dmp_patterns);
     }
 
     /// Creates an empty bus with a disabled trace.

@@ -48,7 +48,7 @@ pub mod machine;
 pub mod mem;
 pub mod noise;
 pub mod opt;
-pub mod pipeline;
+mod pipeline;
 pub mod stats;
 pub mod trace;
 
@@ -63,8 +63,6 @@ pub use machine::{Checkpoint, DeadlockDiagnostics, Machine, SimError};
 pub use mem::cache::{Cache, CacheConfig, CacheOutcome, Replacement};
 pub use mem::hierarchy::{Access, Hierarchy, MemLatency, PrefetchFill, ServedBy};
 pub use mem::memory::{MemFault, Memory};
-pub use noise::{traffic_program, NoiseConfig, NoiseHook};
-pub use opt::hook::{FaultHook, Hooks, MemoLookup, OptHook};
-pub use pipeline::{PipelineStage, PipelineState, Stages};
+pub use noise::{traffic_program, NoiseConfig};
 pub use stats::SimStats;
 pub use trace::{NonSilentReason, Trace, TraceEvent};

@@ -9,15 +9,14 @@
 //! (§V-A1) — the property the silent-store amplification gadget relies
 //! on.
 //!
-//! The pipeline itself lives in [`crate::pipeline`], one module per
-//! stage; the seven Table I optimization classes are
-//! [`crate::opt::hook::OptHook`]s assembled by
-//! [`Hooks::from_config`], so a [`Machine`] is "baseline stages + a
-//! list of hooks". All cross-cutting observation (statistics, trace,
-//! DMP patterns) flows through the state's single
-//! [`crate::event::EventBus`]. Fault injection
-//! ([`Machine::inject_faults`]) installs a
-//! [`crate::opt::hook::FaultHook`] on the same layer.
+//! The pipeline itself lives in the `pipeline` module, one function
+//! per stage; the seven Table I optimization classes are the fields of
+//! one `Hooks` struct built from the config, so a [`Machine`] is
+//! "baseline stages + the enabled classes". All cross-cutting
+//! observation (statistics, trace, DMP patterns) flows through the
+//! state's single [`crate::event::EventBus`]. Fault injection
+//! ([`Machine::inject_faults`]) and environmental noise ride the same
+//! struct.
 //!
 //! Recovery from branch and value mispredictions uses ROB-walk rename
 //! undo, so any instruction can be a squash point without checkpoints.
@@ -28,8 +27,8 @@ use crate::config::SimConfig;
 use crate::fault::FaultPlan;
 use crate::mem::hierarchy::Hierarchy;
 use crate::mem::memory::Memory;
-use crate::opt::hook::{FaultHook, Hooks};
-use crate::pipeline::{PipelineStage, PipelineState, Stages};
+use crate::opt::hook::Hooks;
+use crate::pipeline::{commit, execute, fetch, issue, lsq, rename, PipelineState};
 use crate::stats::SimStats;
 use crate::trace::Trace;
 
@@ -43,14 +42,11 @@ pub use crate::error::{DeadlockDiagnostics, SimError};
 /// `dirty_hi` write high-water mark, program), the microarchitectural
 /// window (fetch buffer, rename tables, ROB, load/store queues),
 /// the cache hierarchy and branch predictors, the accumulated
-/// statistics/trace, and the full hook list — including learned
-/// optimization tables and the noise hook's `SmallRng` streams *at
-/// their current positions*, so trials forked from one warmed
-/// checkpoint resume the exact noise sequence a serial replay would
-/// see.
-///
-/// The pipeline stages themselves are stateless schedulers and are not
-/// part of the image.
+/// statistics/trace, and every optimization class's state — including
+/// learned optimization tables, any pending fault plan, and the noise
+/// source's `SmallRng` streams *at their current positions*, so trials
+/// forked from one warmed checkpoint resume the exact noise sequence a
+/// serial replay would see.
 ///
 /// Checkpoints are the fleet's fork primitive: wrap one in an
 /// [`std::sync::Arc`] and hand it to many
@@ -68,7 +64,7 @@ impl Checkpoint {
     /// resume counting from here.
     #[must_use]
     pub fn cycle(&self) -> u64 {
-        self.state.cycle()
+        self.state.cycle
     }
 
     /// The configuration the snapshotted machine ran under.
@@ -106,19 +102,17 @@ impl Checkpoint {
 #[derive(Clone, Debug)]
 pub struct Machine {
     state: PipelineState,
-    stages: Stages,
     hooks: Hooks,
 }
 
 impl Machine {
-    /// Creates a machine with zeroed memory and registers; the enabled
-    /// Table I optimization classes in `cfg.opts` become the hook list.
+    /// Creates a machine with zeroed memory and registers, running the
+    /// Table I optimization classes `cfg.opts` enables.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Machine {
         Machine {
             hooks: Hooks::from_config(&cfg),
             state: PipelineState::new(cfg),
-            stages: Stages::default(),
         }
     }
 
@@ -216,15 +210,15 @@ impl Machine {
     /// and registers, cold caches and predictors, fresh statistics —
     /// while keeping every allocation and the loaded program, so
     /// calibration loops can re-run trials without re-allocating a
-    /// machine. The hook list is rewound in place (no hook is
-    /// re-boxed), which also discards any installed [`FaultPlan`] and
-    /// all optimization learning state (reuse memos, value-predictor
-    /// confidence, DMP correlations); the noise hook's RNG streams are
-    /// re-derived from their seeds so a reset machine replays the
-    /// identical noise sequence.
+    /// machine. The optimization classes are rewound in place, which
+    /// also discards any installed [`FaultPlan`] and all optimization
+    /// learning state (reuse memos, value-predictor confidence, DMP
+    /// correlations); the noise source's RNG streams are re-derived
+    /// from their seeds so a reset machine replays the identical noise
+    /// sequence.
     pub fn reset(&mut self) {
         self.state.reset();
-        self.hooks.reset_from_config(&self.state.cfg);
+        self.hooks.reset();
     }
 
     /// Rewinds the machine *into a different configuration*: the fleet
@@ -247,13 +241,13 @@ impl Machine {
     pub fn reset_to(&mut self, cfg: SimConfig) -> bool {
         if self.state.cfg.same_shape(&cfg) {
             if self.state.cfg == cfg {
-                // Identical config: the cheap in-place path, no re-boxing.
+                // Identical config: the cheap in-place path.
                 self.reset();
             } else {
-                // Hooks are rebuilt rather than reset in place: a
-                // hook's `reset` re-derives from the config it was
-                // *built* with (e.g. the noise hook replays its own
-                // stored seed), which is exactly wrong when the config
+                // The classes are rebuilt rather than reset in place:
+                // a reset re-derives from the config they were *built*
+                // with (e.g. the noise source replays its own stored
+                // seed), which is exactly wrong when the config
                 // changed. The big allocations (memory, caches, PRF)
                 // all live in `PipelineState` and survive.
                 self.state.cfg = cfg;
@@ -281,7 +275,7 @@ impl Machine {
 
     /// Re-imposes a [`Checkpoint`] on this machine, in place.
     ///
-    /// This is a *restore*, not a reset: no hook is re-derived from its
+    /// This is a *restore*, not a reset: nothing is re-derived from its
     /// seed — the noise RNG streams, learned optimization tables, and
     /// accumulated statistics all resume exactly where the snapshot
     /// left them, so a restored machine's continuation is bit-equal to
@@ -302,17 +296,16 @@ impl Machine {
     pub fn from_checkpoint(ck: &Checkpoint) -> Machine {
         Machine {
             state: ck.state.clone(),
-            stages: Stages::default(),
             hooks: ck.hooks.clone(),
         }
     }
 
     /// Replaces the environmental-noise configuration, rebuilding the
-    /// noise hook with streams derived from the new seed (and removing
-    /// it when the new config is quiet).
+    /// noise source with streams derived from the new seed (and
+    /// removing it when the new config is quiet).
     ///
     /// Intended for **cycle-0 checkpoint forks**: before the first
-    /// step no noise has been drawn, so swapping the hook here is
+    /// step no noise has been drawn, so swapping the source here is
     /// bit-equal to constructing the machine under the new config.
     /// Calling this mid-run forfeits byte-identity with a machine that
     /// ran under the new config from the start (the already-elapsed
@@ -372,12 +365,7 @@ impl Machine {
     /// any previously installed plan; events scheduled at or before the
     /// current cycle are dropped rather than fired retroactively.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
-        let cursor = plan
-            .events()
-            .iter()
-            .position(|e| e.cycle > self.state.cycle)
-            .unwrap_or(plan.len());
-        self.hooks.install(Box::new(FaultHook::new(plan, cursor)));
+        self.hooks.inject_faults(plan, self.state.cycle);
     }
 
     /// Runs until `halt` commits or `max_cycles` elapse.
@@ -413,17 +401,18 @@ impl Machine {
         let st = &mut self.state;
         st.cycle += 1;
         st.bus.begin_cycle(st.cycle);
-        self.hooks.on_cycle_start(st);
-        self.stages.commit.tick(st, &mut self.hooks)?;
+        let hooks = &mut self.hooks;
+        hooks.on_cycle_start(st);
+        commit::tick(st, hooks)?;
         if st.halted {
             st.bus.set_cycles(st.cycle);
             return Ok(());
         }
-        self.stages.lsq.tick(st, &mut self.hooks)?;
-        self.stages.execute.tick(st, &mut self.hooks)?;
-        self.stages.issue.tick(st, &mut self.hooks)?;
-        self.stages.rename.tick(st, &mut self.hooks)?;
-        self.stages.fetch.tick(st, &mut self.hooks)?;
+        lsq::tick(st, hooks)?;
+        execute::tick(st, hooks)?;
+        issue::tick(st, hooks)?;
+        rename::tick(st, hooks)?;
+        fetch::tick(st);
         st.bus.set_cycles(st.cycle);
         if st.cfg.paranoid_checks {
             st.paranoid_validate()?;
@@ -606,7 +595,7 @@ mod tests {
             assert_eq!(*forked.config(), trial);
             assert_eq!(forked.run(1_000_000).unwrap(), want, "seed {seed}");
 
-            // And back to quiet: the hook is removed entirely.
+            // And back to quiet: the noise source is removed entirely.
             let mut quiet = Machine::from_checkpoint(&ck);
             quiet.set_noise(NoiseConfig::quiet());
             let mut direct_quiet = Machine::new(SimConfig::default());

@@ -117,12 +117,19 @@ impl Cache {
     /// derived `clone_from` would replace the sets with exact-capacity
     /// clones, which then reallocate one by one as churned sets refill
     /// toward their way count — breaking the allocation-free hot loop
-    /// after a checkpoint restore.
+    /// after a checkpoint restore. Destructured exhaustively, so a new
+    /// field that no restore copies fails to compile.
     pub(crate) fn restore_from(&mut self, src: &Cache) {
-        self.cfg = src.cfg;
-        self.sets.clone_from(&src.sets);
-        self.clock = src.clock;
-        self.rng = src.rng.clone();
+        let Cache {
+            cfg,
+            sets,
+            clock,
+            rng,
+        } = src;
+        self.cfg = *cfg;
+        self.sets.clone_from(sets);
+        self.clock = *clock;
+        self.rng = rng.clone();
     }
 
     /// Creates an empty cache. `seed` drives the random replacement

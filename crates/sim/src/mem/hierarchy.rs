@@ -86,13 +86,22 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Capacity-preserving restore: both levels rewind via
     /// [`Cache::restore_from`], so a checkpoint restore reuses the set
-    /// allocations already at their high-water marks.
+    /// allocations already at their high-water marks. Destructured
+    /// exhaustively, so a new field that no restore copies fails to
+    /// compile.
     pub(crate) fn restore_from(&mut self, src: &Hierarchy) {
-        self.l1.restore_from(&src.l1);
-        self.l2.restore_from(&src.l2);
-        self.lat = src.lat;
-        self.suppressed_prefetches = src.suppressed_prefetches;
-        self.l2_detached = src.l2_detached;
+        let Hierarchy {
+            l1,
+            l2,
+            lat,
+            suppressed_prefetches,
+            l2_detached,
+        } = src;
+        self.l1.restore_from(l1);
+        self.l2.restore_from(l2);
+        self.lat = *lat;
+        self.suppressed_prefetches = *suppressed_prefetches;
+        self.l2_detached = *l2_detached;
     }
 
     /// Builds a hierarchy from per-level geometry and latencies. `seed`

@@ -236,17 +236,21 @@ impl Memory {
     /// stale region between `src`'s mark and `self`'s old mark, and
     /// (2) adopts `src`'s mark, relying on the invariant that bytes at
     /// or above a memory's mark are zero.
+    ///
+    /// Destructured exhaustively, so a new field that no restore
+    /// copies fails to compile.
     pub fn restore_from(&mut self, src: &Memory) {
-        if self.bytes.len() != src.bytes.len() {
-            self.bytes.clone_from(&src.bytes);
-            self.dirty_hi = src.dirty_hi;
+        let Memory { bytes, dirty_hi } = src;
+        if self.bytes.len() != bytes.len() {
+            self.bytes.clone_from(bytes);
+            self.dirty_hi = *dirty_hi;
             return;
         }
-        if self.dirty_hi > src.dirty_hi {
-            self.bytes[src.dirty_hi..self.dirty_hi].fill(0);
+        if self.dirty_hi > *dirty_hi {
+            self.bytes[*dirty_hi..self.dirty_hi].fill(0);
         }
-        self.bytes[..src.dirty_hi].copy_from_slice(&src.bytes[..src.dirty_hi]);
-        self.dirty_hi = src.dirty_hi;
+        self.bytes[..*dirty_hi].copy_from_slice(&bytes[..*dirty_hi]);
+        self.dirty_hi = *dirty_hi;
     }
 
     /// Zero-fills `len` bytes starting at `addr`. A clear that covers

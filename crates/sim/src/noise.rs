@@ -11,9 +11,10 @@
 //!   [`SimConfig::stable_hash`] and by the experiment runner's resume
 //!   manifest: two machines with equal configurations produce equal
 //!   noise, and `runall --resume` re-verifies noisy runs byte for byte.
-//! * [`NoiseHook`] rides the ordinary [`OptHook`] layer (like
-//!   [`FaultHook`]) and draws from [`SmallRng`] streams seeded only by
-//!   [`NoiseConfig::seed`] — never by wall-clock or global state.
+//! * The machine's noise source applies the disturbances at each cycle
+//!   start, just before any injected fault plan, and draws from
+//!   [`SmallRng`] streams seeded only by [`NoiseConfig::seed`] — never
+//!   by wall-clock or global state.
 //! * [`traffic_program`] builds a seeded co-runner for
 //!   [`crate::DuoMachine`], so cross-core experiments can run against a
 //!   live interfering tenant instead of (or on top of) injected noise.
@@ -38,7 +39,6 @@
 //!
 //! [`SimConfig`]: crate::SimConfig
 //! [`SimConfig::stable_hash`]: crate::SimConfig::stable_hash
-//! [`FaultHook`]: crate::FaultHook
 
 use pandora_isa::{Asm, Program, Reg};
 use rand::rngs::SmallRng;
@@ -46,7 +46,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::event::SimEvent;
 use crate::mem::hierarchy::PrefetchFill;
-use crate::opt::hook::OptHook;
 use crate::pipeline::PipelineState;
 
 /// Seed-driven environmental noise switches, embedded in
@@ -147,16 +146,15 @@ impl NoiseConfig {
     }
 }
 
-/// The environmental-noise hook: applies a [`NoiseConfig`]'s cache and
-/// frontend disturbances at every cycle start, and filters `rdcycle`
-/// reads through the configured timer degradation.
+/// The environmental-noise source: applies a [`NoiseConfig`]'s cache
+/// and frontend disturbances at every cycle start, and filters
+/// `rdcycle` reads through the configured timer degradation.
 ///
-/// Installed automatically by
-/// [`Hooks::from_config`](crate::Hooks::from_config) whenever
-/// `cfg.noise.enabled()`, so [`Machine::reset`](crate::Machine::reset)
-/// reproduces the identical noise stream.
+/// Built by `Hooks::from_config` whenever `cfg.noise.enabled()`, so
+/// [`Machine::reset`](crate::Machine::reset) reproduces the identical
+/// noise stream.
 #[derive(Clone, Debug)]
-pub struct NoiseHook {
+pub(crate) struct NoiseHook {
     cfg: NoiseConfig,
     /// Environment stream: eviction/fill/stall draws, one sequence per
     /// run regardless of program length.
@@ -168,34 +166,24 @@ pub struct NoiseHook {
 }
 
 impl NoiseHook {
-    /// Builds the hook for a noise configuration; both streams derive
+    /// Builds the source for a noise configuration; both streams derive
     /// only from [`NoiseConfig::seed`].
-    #[must_use]
-    pub fn new(cfg: NoiseConfig) -> NoiseHook {
+    pub(crate) fn new(cfg: NoiseConfig) -> NoiseHook {
         NoiseHook {
             cfg,
             env: SmallRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15),
             timer: SmallRng::seed_from_u64(cfg.seed ^ 0x6a09_e667_f3bc_c909),
         }
     }
-}
 
-impl OptHook for NoiseHook {
-    fn name(&self) -> &'static str {
-        "noise"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(self.clone())
-    }
-
-    fn reset(&mut self, _cfg: &crate::SimConfig) {
-        // Re-derive both streams exactly as `new` does, so a reset
-        // machine replays the identical noise sequence.
+    /// Re-derives both streams exactly as [`NoiseHook::new`] does, so a
+    /// reset machine replays the identical noise sequence.
+    pub(crate) fn reset(&mut self) {
         *self = NoiseHook::new(self.cfg);
     }
 
-    fn on_cycle_start(&mut self, st: &mut PipelineState) {
+    /// Applies this cycle's evictions, fills and fetch stalls.
+    pub(crate) fn on_cycle_start(&mut self, st: &mut PipelineState) {
         let n = self.cfg;
         let (lo, hi) = n.window(st.cfg.mem_size);
         if n.evict_permille > 0 && self.env.gen_range(0u16..1000) < n.evict_permille {
@@ -217,11 +205,10 @@ impl OptHook for NoiseHook {
         }
     }
 
-    fn read_cycle(&mut self, cycle: u64) -> Option<u64> {
+    /// The value an `rdcycle` at the true `cycle` reads: jittered, then
+    /// floored to the timer quantum.
+    pub(crate) fn read_cycle(&mut self, cycle: u64) -> u64 {
         let n = self.cfg;
-        if n.timer_quantum <= 1 && n.timer_jitter == 0 {
-            return None;
-        }
         let mut c = cycle;
         if n.timer_jitter > 0 {
             c += self.timer.gen_range(0..n.timer_jitter + 1);
@@ -229,7 +216,7 @@ impl OptHook for NoiseHook {
         if n.timer_quantum > 1 {
             c -= c % n.timer_quantum;
         }
-        Some(c)
+        c
     }
 }
 
@@ -343,7 +330,7 @@ mod tests {
 
     #[test]
     fn clone_resumes_streams_at_position_reset_rewinds_them() {
-        // Checkpoints capture the noise hook by cloning it, so a clone
+        // Checkpoints capture the noise source by cloning it, so a clone
         // must continue both RNG streams exactly where the original
         // stands — not rewind to the seed the way `reset` does.
         let cfg = NoiseConfig {
@@ -352,15 +339,15 @@ mod tests {
             ..NoiseConfig::quiet()
         };
         let mut h = NoiseHook::new(cfg);
-        let burn: Vec<u64> = (0..17).map(|_| h.read_cycle(0).unwrap()).collect();
+        let burn: Vec<u64> = (0..17).map(|_| h.read_cycle(0)).collect();
 
         let mut forked = h.clone();
-        let cont: Vec<u64> = (0..32).map(|_| h.read_cycle(0).unwrap()).collect();
-        let forked_cont: Vec<u64> = (0..32).map(|_| forked.read_cycle(0).unwrap()).collect();
+        let cont: Vec<u64> = (0..32).map(|_| h.read_cycle(0)).collect();
+        let forked_cont: Vec<u64> = (0..32).map(|_| forked.read_cycle(0)).collect();
         assert_eq!(cont, forked_cont, "clone resumes mid-stream");
 
-        forked.reset(&SimConfig::default());
-        let rewound: Vec<u64> = (0..17).map(|_| forked.read_cycle(0).unwrap()).collect();
+        forked.reset();
+        let rewound: Vec<u64> = (0..17).map(|_| forked.read_cycle(0)).collect();
         assert_eq!(rewound, burn, "reset re-derives the stream from seed");
         assert_ne!(cont[..17], burn[..], "jitter stream has real state");
     }

@@ -15,12 +15,15 @@ pub struct Bimodal {
 }
 
 impl Bimodal {
-    /// Capacity-preserving restore (see [`PipelineState::restore_from`]).
+    /// Capacity-preserving restore, destructured exhaustively like
+    /// [`PipelineState::restore_from`] so a new field that no restore
+    /// copies fails to compile.
     ///
-    /// [`PipelineState::restore_from`]: crate::pipeline::PipelineState
+    /// [`PipelineState::restore_from`]: crate::pipeline::PipelineState::restore_from
     pub(crate) fn restore_from(&mut self, src: &Bimodal) {
-        self.counters.clone_from(&src.counters);
-        self.mask = src.mask;
+        let Bimodal { counters, mask } = src;
+        self.counters.clone_from(counters);
+        self.mask = *mask;
     }
 
     /// Creates a predictor with `entries` counters (power of two),
@@ -70,9 +73,12 @@ pub struct Btb {
 
 impl Btb {
     /// Capacity-preserving restore: `HashMap::clone_from` reuses the
-    /// bucket allocation when it already fits.
+    /// bucket allocation when it already fits. Destructured
+    /// exhaustively, so a new field that no restore copies fails to
+    /// compile.
     pub(crate) fn restore_from(&mut self, src: &Btb) {
-        self.targets.clone_from(&src.targets);
+        let Btb { targets } = src;
+        self.targets.clone_from(targets);
     }
 
     /// Creates an empty BTB.

@@ -166,7 +166,7 @@ impl Imp {
                 if let Some(c) = self.candidates.iter_mut().find(|c| {
                     c.src_pc == obs.pc && c.dst_pc == pc && c.scale == scale && c.base == base
                 }) {
-                    c.hits += 1;
+                    c.hits = c.hits.saturating_add(1);
                     c.width = width;
                     if c.hits >= CONFIRM_HITS
                         && !self
@@ -345,6 +345,28 @@ mod tests {
                 .any(|i| i.src_pc == Z_PC && i.dst_pc == Y_PC && i.base == Y_BASE && i.scale == 8),
             "Z→Y pattern with base {Y_BASE:#x} scale 8 should confirm; got {pats:?}"
         );
+    }
+
+    #[test]
+    fn hit_counts_saturate_on_a_correlation_seen_hundreds_of_times() {
+        // One value→address correlation, 300 times over: every
+        // candidate it grows must saturate its hit count, not overflow.
+        let mut r = rig(2);
+        let Rig {
+            imp,
+            mem,
+            hier,
+            bus,
+        } = &mut r;
+        for i in 0..300 {
+            bus.begin_cycle(i);
+            imp.observe(Z_PC, Z_BASE, 3, Width::Dword, mem, hier, bus);
+            imp.observe(Y_PC, Y_BASE + 8 * 3, 0, Width::Dword, mem, hier, bus);
+        }
+        assert!(imp.candidates.iter().any(|c| c.hits == u8::MAX));
+        let pair = |c: &&Indirection| (c.src_pc, c.dst_pc) == (Z_PC, Y_PC);
+        let confirmed = imp.confirmed.iter().filter(pair).count();
+        assert_eq!(confirmed, 1, "a (src, dst) pair confirms once");
     }
 
     #[test]

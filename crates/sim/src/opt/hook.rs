@@ -1,33 +1,31 @@
-//! The pluggable optimization layer: [`OptHook`] and its aggregator
-//! [`Hooks`].
+//! The optimization layer: [`Hooks`], one field per Table I class.
 //!
 //! The paper's Table I treats each optimization class as an independent
-//! transformation over a fixed baseline; here each class is one
-//! [`OptHook`] implementation, and a machine is "baseline + a list of
-//! hooks" ([`Hooks::from_config`]). The interception points mirror the
-//! stages the paper describes:
+//! transformation over a fixed baseline; here a machine is "baseline +
+//! the enabled classes" ([`Hooks::from_config`]), and each interception
+//! point the stages call is answered by the one class it belongs to:
 //!
-//! | hook method | stage | optimization class |
+//! | method | stage | optimization class |
 //! |---|---|---|
-//! | [`OptHook::store_dequeue_decision`], [`OptHook::silent_stores`] | store dequeue / issue | silent stores |
-//! | [`OptHook::plan_alu`], [`OptHook::plan_fp`] | execute (latency planning) | computation simplification |
-//! | [`OptHook::operand_packing`] | issue (ALU port accounting) | pipeline compression |
-//! | [`OptHook::memo_lookup`], [`OptHook::memo_insert`], [`OptHook::on_rename`] | issue / writeback / rename | computation reuse |
-//! | [`OptHook::predict_load`], [`OptHook::on_load_writeback`] | dispatch / writeback | value prediction |
-//! | [`OptHook::rfc_compresses`] | writeback (early tag release) | register-file compression |
-//! | [`OptHook::on_commit_load`] | commit (fill/observe) | DMP prefetching |
+//! | [`Hooks::store_dequeue_decision`], [`Hooks::silent_stores`] | store dequeue / issue | silent stores |
+//! | [`Hooks::plan_alu`], [`Hooks::plan_fp`] | execute (latency planning) | computation simplification |
+//! | [`Hooks::operand_packing`] | issue (ALU port accounting) | pipeline compression |
+//! | [`Hooks::memo_lookup`], [`Hooks::memo_insert`], [`Hooks::on_rename`] | issue / writeback / rename | computation reuse |
+//! | [`Hooks::predict_load`], [`Hooks::on_load_writeback`] | dispatch / writeback | value prediction |
+//! | [`Hooks::rfc_compresses`] | writeback (early tag release) | register-file compression |
+//! | [`Hooks::on_commit_load`] | commit (fill/observe) | DMP prefetching (CDP, then IMP) |
 //!
-//! Fault injection rides the same layer: [`FaultHook`] consumes a
-//! [`FaultPlan`] from [`OptHook::on_cycle_start`] instead of bespoke
-//! plumbing in `Machine::step`.
-
-use std::fmt;
+//! The environment rides the same struct: [`Hooks::on_cycle_start`]
+//! applies the noise source's disturbances, then any due events of an
+//! injected [`FaultPlan`], and [`Hooks::read_cycle`] filters `rdcycle`
+//! through the noise source's timer degradation.
 
 use pandora_isa::{AluOp, FpOp, Reg, Width};
 
-use crate::config::SimConfig;
+use crate::config::{LatencyConfig, OptConfig, ReuseKey, SimConfig};
 use crate::event::{SimEvent, SquashReason};
 use crate::fault::{FaultKind, FaultPlan};
+use crate::noise::NoiseHook;
 use crate::opt::cdp::Cdp;
 use crate::opt::comp_reuse::ReuseTable;
 use crate::opt::comp_simpl::{plan_alu, plan_fp, ExecPlan};
@@ -39,149 +37,251 @@ use crate::pipeline::{squash, PipelineState};
 use crate::trace::NonSilentReason;
 
 /// Result of a computation-reuse memo consultation
-/// ([`OptHook::memo_lookup`]).
+/// ([`Hooks::memo_lookup`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MemoLookup {
-    /// No hook handles this operation; plan and evaluate normally and
-    /// do not count a lookup.
+pub(crate) enum MemoLookup {
+    /// Reuse is off or does not cover this operation; plan and
+    /// evaluate normally and do not count a lookup.
     NotApplicable,
     /// Memoized: reuse this result with unit latency and no port.
     Hit(u64),
     /// Eligible but absent: evaluate, then offer the result back via
-    /// [`OptHook::memo_insert`] at writeback.
+    /// [`Hooks::memo_insert`] at writeback.
     Miss,
 }
 
-/// One optimization class (or the fault injector) plugged into the
-/// baseline pipeline.
+/// The optimization classes, noise source and fault plan of one
+/// machine. A class that is off is `false` or `None`.
 ///
-/// Every method has a no-op default, so a hook only implements the
-/// interception points its optimization uses. Hooks mutate only their
-/// own state plus whatever [`PipelineState`] exposes at the call site;
-/// all observation is emitted as [`SimEvent`]s.
-///
-/// `Send + Sync` because hooks are plain data (learned tables, RNG
-/// words — mutation always goes through `&mut self`): machines migrate
-/// across fleet worker threads, and [`crate::Checkpoint`]s are shared
-/// read-only behind `Arc` so forked trials can clone the hook list.
-pub trait OptHook: fmt::Debug + Send + Sync {
-    /// A short stable identifier; [`Hooks::install`] replaces any
-    /// existing hook with the same name.
-    fn name(&self) -> &'static str;
+/// Plain data: the derived `Clone` is what a [`crate::Checkpoint`]
+/// takes, so learned tables and the noise streams resume where the
+/// snapshot left them.
+#[derive(Clone, Debug)]
+pub(crate) struct Hooks {
+    /// Silent stores (§V-A1): SS-load checking plus silent dequeue.
+    silent_stores: bool,
+    /// Pipeline compression (§V-A4): two narrow ALU operations share
+    /// one port.
+    operand_packing: bool,
+    /// Computation simplification (§V-A2) and FP subnormal timing: the
+    /// latencies and switches operand-dependent plans are made under.
+    comp_simpl: Option<(LatencyConfig, OptConfig)>,
+    /// Computation reuse (§V-A3): results memoized by pc + operands.
+    comp_reuse: Option<ReuseTable>,
+    /// Whether computation reuse also covers simple ALU operations.
+    reuse_simple_alu: bool,
+    /// Value prediction (§V-A5): predicts at dispatch, trains at
+    /// writeback.
+    value_pred: Option<ValuePredictor>,
+    /// Register-file compression (§V-A6): early tag release.
+    rf_compress: Option<RfCompressor>,
+    /// Content-directed prefetching (§V-C).
+    cdp: Option<Cdp>,
+    /// Indirect memory prefetching (§V-B).
+    imp: Option<Imp>,
+    /// Environmental noise, present when `cfg.noise.enabled()`.
+    noise: Option<NoiseHook>,
+    /// An injected fault plan and the index of its first event not
+    /// yet applied.
+    faults: Option<(FaultPlan, usize)>,
+}
 
-    /// Clones this hook into a box (object-safe `Clone`).
-    fn box_clone(&self) -> Box<dyn OptHook>;
-
-    /// Rewinds this hook to the state [`Hooks::from_config`] would
-    /// have built it in, reusing existing allocations: learned state
-    /// is forgotten, RNG streams are re-derived from their seeds.
-    /// Stateless hooks keep the no-op default.
-    fn reset(&mut self, cfg: &SimConfig) {
-        let _ = cfg;
+impl Hooks {
+    /// The classes a [`SimConfig`] enables, its noise source, and no
+    /// fault plan.
+    pub(crate) fn from_config(cfg: &SimConfig) -> Hooks {
+        let o = &cfg.opts;
+        Hooks {
+            silent_stores: o.silent_stores,
+            operand_packing: o.operand_packing,
+            comp_simpl: (o.comp_simpl || o.fp_subnormal).then_some((cfg.latency, *o)),
+            comp_reuse: o
+                .comp_reuse
+                .then(|| ReuseTable::new(o.reuse_entries.max(1), o.reuse_key)),
+            reuse_simple_alu: o.reuse_simple_alu,
+            value_pred: o
+                .value_pred
+                .then(|| ValuePredictor::with_kind(o.vp_confidence, o.vp_kind)),
+            rf_compress: o.rf_compress.then(|| RfCompressor::new(o.rfc_match)),
+            cdp: o.cdp.then(|| Cdp::new(cfg.l1d.line, o.dmp_fill)),
+            imp: o.dmp.then(|| Imp::new(o)),
+            noise: cfg.noise.enabled().then(|| NoiseHook::new(cfg.noise)),
+            faults: None,
+        }
     }
 
-    /// Called at the very start of each cycle, before commit.
-    fn on_cycle_start(&mut self, st: &mut PipelineState) {
-        let _ = st;
+    /// Rewinds to what [`Hooks::from_config`] built, in place: learned
+    /// tables are cleared (capacity kept), the noise streams are
+    /// re-derived from their seed, and the fault plan is dropped.
+    pub(crate) fn reset(&mut self) {
+        if let Some(table) = &mut self.comp_reuse {
+            table.clear();
+        }
+        if let Some(vp) = &mut self.value_pred {
+            vp.clear();
+        }
+        if let Some(imp) = &mut self.imp {
+            imp.clear();
+        }
+        if let Some(noise) = &mut self.noise {
+            noise.reset();
+        }
+        self.faults = None;
     }
 
-    /// Filters the value an `rdcycle` instruction reads: given the
-    /// true cycle, return the (possibly coarsened/jittered) value the
-    /// program observes, or `None` to leave the timer exact. This is
-    /// the noise hook's timer-degradation point.
-    fn read_cycle(&mut self, cycle: u64) -> Option<u64> {
-        let _ = cycle;
-        None
+    /// Replaces the noise source with a fresh one for `cfg.noise` (none
+    /// when it is quiet) — the per-member noise override of cycle-0
+    /// checkpoint forks ([`crate::Machine::set_noise`]).
+    pub(crate) fn set_noise(&mut self, cfg: &SimConfig) {
+        self.noise = cfg.noise.enabled().then(|| NoiseHook::new(cfg.noise));
     }
 
-    /// Called when rename redefines architectural register `rd`.
-    fn on_rename(&mut self, rd: Reg) {
-        let _ = rd;
+    /// Installs a fault plan, replacing any previous one. Events at or
+    /// before `cycle` are skipped, not fired retroactively.
+    pub(crate) fn inject_faults(&mut self, plan: FaultPlan, cycle: u64) {
+        let cursor = plan
+            .events()
+            .iter()
+            .position(|e| e.cycle > cycle)
+            .unwrap_or(plan.len());
+        self.faults = Some((plan, cursor));
     }
 
-    /// Value prediction for the load dispatching at `pc`.
-    fn predict_load(&self, pc: usize) -> Option<u64> {
-        let _ = pc;
-        None
+    /// The start of each cycle, before commit: the noise source's
+    /// disturbances first, then the fault plan's due events.
+    pub(crate) fn on_cycle_start(&mut self, st: &mut PipelineState) {
+        if let Some(noise) = &mut self.noise {
+            noise.on_cycle_start(st);
+        }
+        if let Some((plan, cursor)) = &mut self.faults {
+            while let Some(ev) = plan.events().get(*cursor) {
+                if ev.cycle > st.cycle {
+                    break;
+                }
+                *cursor += 1;
+                apply_fault(st, ev.kind);
+            }
+        }
     }
 
-    /// Called when a non-faulting load at `pc` writes back `value`.
-    fn on_load_writeback(&mut self, pc: usize, value: u64) {
-        let _ = (pc, value);
+    /// The value an `rdcycle` at `cycle` reads: coarsened and jittered
+    /// by the noise source, exact without one.
+    pub(crate) fn read_cycle(&mut self, cycle: u64) -> u64 {
+        self.noise
+            .as_mut()
+            .map_or(cycle, |noise| noise.read_cycle(cycle))
+    }
+
+    /// Rename redefined architectural register `rd`: computation reuse
+    /// invalidates the memos keyed on it.
+    pub(crate) fn on_rename(&mut self, rd: Reg) {
+        if let Some(table) = &mut self.comp_reuse {
+            table.invalidate_reg(rd);
+        }
+    }
+
+    /// The value predictor's guess for the load dispatching at `pc`.
+    pub(crate) fn predict_load(&self, pc: usize) -> Option<u64> {
+        self.value_pred.as_ref().and_then(|vp| vp.predict(pc))
+    }
+
+    /// A non-faulting load at `pc` wrote back `value`: trains the value
+    /// predictor.
+    pub(crate) fn on_load_writeback(&mut self, pc: usize, value: u64) {
+        if let Some(vp) = &mut self.value_pred {
+            vp.update(pc, value);
+        }
     }
 
     /// Computation-reuse memo consultation at issue. `base_eligible` is
-    /// true for operations the baseline always considers reusable
-    /// (multiplies, divides, floating point).
-    fn memo_lookup(
-        &mut self,
+    /// true for operations reuse always covers (multiplies, divides,
+    /// floating point).
+    pub(crate) fn memo_lookup(
+        &self,
         pc: usize,
         vals: [u64; 2],
         srcs: [Option<Reg>; 2],
         base_eligible: bool,
     ) -> MemoLookup {
-        let _ = (pc, vals, srcs, base_eligible);
-        MemoLookup::NotApplicable
+        match &self.comp_reuse {
+            Some(table) if base_eligible || self.reuse_simple_alu => table
+                .lookup(pc, vals, srcs)
+                .map_or(MemoLookup::Miss, MemoLookup::Hit),
+            _ => MemoLookup::NotApplicable,
+        }
     }
 
     /// Offers a computed result for memoization at writeback.
     /// `younger_redefines` reports whether a younger in-flight
     /// instruction already redefined one of the given source registers
-    /// (the insert-after-invalidate hazard).
-    fn memo_insert(
+    /// (the insert-after-invalidate hazard, which only register-id
+    /// keys suffer).
+    pub(crate) fn memo_insert(
         &mut self,
         pc: usize,
         vals: [u64; 2],
         srcs: [Option<Reg>; 2],
         result: u64,
-        younger_redefines: &mut dyn FnMut(&[Option<Reg>; 2]) -> bool,
+        younger_redefines: impl FnOnce(&[Option<Reg>; 2]) -> bool,
     ) {
-        let _ = (pc, vals, srcs, result, younger_redefines);
+        if let Some(table) = &mut self.comp_reuse {
+            let stale = table.key_kind() == ReuseKey::RegIds && younger_redefines(&srcs);
+            if !stale {
+                table.insert(pc, vals, srcs, result);
+            }
+        }
     }
 
-    /// Execution plan for an integer ALU operation (computation
-    /// simplification). `None` falls through to the baseline plan.
-    fn plan_alu(&self, op: AluOp, a: u64, b: u64) -> Option<ExecPlan> {
-        let _ = (op, a, b);
-        None
+    /// Computation simplification's plan for an integer ALU
+    /// operation; `None` falls through to the baseline plan.
+    pub(crate) fn plan_alu(&self, op: AluOp, a: u64, b: u64) -> Option<ExecPlan> {
+        self.comp_simpl
+            .as_ref()
+            .map(|(lat, opts)| plan_alu(op, a, b, lat, opts))
     }
 
-    /// Execution plan for a floating-point operation. `None` falls
-    /// through to the baseline plan.
-    fn plan_fp(&self, op: FpOp, a: u64, b: u64) -> Option<ExecPlan> {
-        let _ = (op, a, b);
-        None
+    /// Computation simplification's plan for a floating-point
+    /// operation; `None` falls through to the baseline plan.
+    pub(crate) fn plan_fp(&self, op: FpOp, a: u64, b: u64) -> Option<ExecPlan> {
+        self.comp_simpl
+            .as_ref()
+            .map(|(lat, opts)| plan_fp(op, a, b, lat, opts))
     }
 
-    /// Whether narrow ALU operand packing is active this run.
-    fn operand_packing(&self) -> bool {
-        false
+    /// Whether narrow ALU operand packing is on.
+    pub(crate) fn operand_packing(&self) -> bool {
+        self.operand_packing
     }
 
-    /// Whether silent-store checking (SS-load issue) is active.
-    fn silent_stores(&self) -> bool {
-        false
+    /// Whether silent-store checking (SS-load issue) is on.
+    pub(crate) fn silent_stores(&self) -> bool {
+        self.silent_stores
     }
 
-    /// Decides whether the committed store at the SQ head may dequeue
-    /// silently (`Ok`) or must perform (`Err` with the reason). `None`
-    /// falls through to the baseline, which performs every store.
-    fn store_dequeue_decision(&self, ss: SsState) -> Option<Result<(), NonSilentReason>> {
-        let _ = ss;
-        None
+    /// Whether the committed store at the SQ head may dequeue silently
+    /// (`Ok`) or must perform (`Err` with the reason). Without silent
+    /// stores every store performs.
+    pub(crate) fn store_dequeue_decision(&self, ss: SsState) -> Result<(), NonSilentReason> {
+        let decision = ss.dequeue_decision();
+        if self.silent_stores {
+            decision
+        } else {
+            decision.and(Err(NonSilentReason::NoLoadPort))
+        }
     }
 
     /// Whether register-file compression shares the tag holding
     /// `result` (given the current architectural registers).
-    fn rfc_compresses(&self, result: u64, arch_regs: &[u64]) -> bool {
-        let _ = (result, arch_regs);
-        false
+    pub(crate) fn rfc_compresses(&self, result: u64, arch_regs: &[u64]) -> bool {
+        self.rf_compress
+            .is_some_and(|rfc| rfc.compresses(result, arch_regs))
     }
 
-    /// Called when a load commits: `addr`/`width` are the resolved
-    /// access (absent if the load never executed), `value` its result.
-    /// This is the DMP observation point.
-    fn on_commit_load(
+    /// A load committed: `addr`/`width` are the resolved access (absent
+    /// if the load never executed), `value` its result. The DMP
+    /// observation point: the CDP scans the line first, then the IMP
+    /// trains and launches.
+    pub(crate) fn on_commit_load(
         &mut self,
         st: &mut PipelineState,
         pc: usize,
@@ -189,600 +289,13 @@ pub trait OptHook: fmt::Debug + Send + Sync {
         value: u64,
         width: Option<Width>,
     ) {
-        let _ = (st, pc, addr, value, width);
-    }
-}
-
-/// An ordered list of [`OptHook`]s with aggregation semantics: "any"
-/// for capability flags, "first answer wins" for planning queries, and
-/// in-order iteration for notifications.
-#[derive(Debug, Default)]
-pub struct Hooks {
-    list: Vec<Box<dyn OptHook>>,
-    /// Cached "any hook enables operand packing / silent stores"
-    /// answers. Both are per-hook-type constants, so the aggregate only
-    /// changes when the list itself does; the issue stage queries them
-    /// every cycle, which made the virtual-dispatch scan measurable.
-    packing: bool,
-    ss: bool,
-}
-
-impl Clone for Hooks {
-    fn clone(&self) -> Hooks {
-        Hooks {
-            list: self.list.iter().map(|h| h.box_clone()).collect(),
-            packing: self.packing,
-            ss: self.ss,
+        let Some(addr) = addr else { return };
+        let PipelineState { mem, hier, bus, .. } = st;
+        if let Some(cdp) = &self.cdp {
+            cdp.observe(addr, mem, hier, bus);
         }
-    }
-}
-
-impl Hooks {
-    /// An empty hook list (the pure baseline machine).
-    #[must_use]
-    pub fn new() -> Hooks {
-        Hooks::default()
-    }
-
-    /// Builds the hook list matching a [`SimConfig`]'s enabled Table I
-    /// optimization classes, in the pipeline's canonical order.
-    #[must_use]
-    pub fn from_config(cfg: &SimConfig) -> Hooks {
-        let o = &cfg.opts;
-        let mut list: Vec<Box<dyn OptHook>> = Vec::new();
-        if o.silent_stores {
-            list.push(Box::new(SilentStoreHook));
-        }
-        if o.comp_simpl || o.fp_subnormal {
-            list.push(Box::new(CompSimplHook {
-                lat: cfg.latency,
-                opts: *o,
-            }));
-        }
-        if o.operand_packing {
-            list.push(Box::new(PipeCompressHook));
-        }
-        if o.comp_reuse {
-            list.push(Box::new(CompReuseHook {
-                table: ReuseTable::new(o.reuse_entries.max(1), o.reuse_key),
-                simple_alu: o.reuse_simple_alu,
-            }));
-        }
-        if o.value_pred {
-            list.push(Box::new(ValuePredHook {
-                vp: ValuePredictor::with_kind(o.vp_confidence, o.vp_kind),
-            }));
-        }
-        if o.rf_compress {
-            list.push(Box::new(RfCompressHook {
-                rfc: RfCompressor::new(o.rfc_match),
-            }));
-        }
-        if o.cdp {
-            list.push(Box::new(CdpHook {
-                cdp: Cdp::new(cfg.l1d.line, o.dmp_fill),
-            }));
-        }
-        if o.dmp {
-            list.push(Box::new(ImpHook { imp: Imp::new(o) }));
-        }
-        if cfg.noise.enabled() {
-            // Last, so a cycle's optimization decisions precede the
-            // environment's disturbances deterministically.
-            list.push(Box::new(crate::noise::NoiseHook::new(cfg.noise)));
-        }
-        let mut hooks = Hooks {
-            list,
-            packing: false,
-            ss: false,
-        };
-        hooks.recache_capabilities();
-        hooks
-    }
-
-    /// Recomputes the cached capability flags from the current list.
-    /// Must be called after every mutation of `self.list`.
-    fn recache_capabilities(&mut self) {
-        self.packing = self.list.iter().any(|h| h.operand_packing());
-        self.ss = self.list.iter().any(|h| h.silent_stores());
-    }
-
-    /// Installs a hook, replacing any existing hook with the same
-    /// [`OptHook::name`].
-    pub fn install(&mut self, hook: Box<dyn OptHook>) {
-        let name = hook.name();
-        self.list.retain(|h| h.name() != name);
-        self.list.push(hook);
-        self.recache_capabilities();
-    }
-
-    /// Replaces the environmental-noise hook to match `cfg.noise`:
-    /// removes any installed noise hook, then (when the new config has
-    /// noise enabled) appends a fresh [`crate::noise::NoiseHook`] with
-    /// streams derived from the new seed — exactly the hook
-    /// [`Hooks::from_config`] would have built, in its canonical
-    /// last-of-list position.
-    ///
-    /// This is the per-member noise override used by cycle-0
-    /// checkpoint forks ([`crate::Machine::set_noise`]): at cycle 0 no
-    /// noise has been drawn yet, so swapping the hook is bit-equal to
-    /// constructing the machine under the new config.
-    pub fn set_noise(&mut self, cfg: &SimConfig) {
-        self.list.retain(|h| h.name() != "noise");
-        if cfg.noise.enabled() {
-            // Keep the canonical order (noise after every optimization
-            // class, before any installed fault hook).
-            let at = self
-                .list
-                .iter()
-                .position(|h| h.name() == "fault")
-                .unwrap_or(self.list.len());
-            self.list
-                .insert(at, Box::new(crate::noise::NoiseHook::new(cfg.noise)));
-        }
-        self.recache_capabilities();
-    }
-
-    /// The hook names [`Hooks::from_config`] would install for `cfg`,
-    /// in canonical order, without allocating any hook.
-    fn config_names(cfg: &SimConfig) -> ([&'static str; 9], usize) {
-        let o = &cfg.opts;
-        let mut names = [""; 9];
-        let mut n = 0;
-        let mut add = |name| {
-            names[n] = name;
-            n += 1;
-        };
-        if o.silent_stores {
-            add("silent_store");
-        }
-        if o.comp_simpl || o.fp_subnormal {
-            add("comp_simpl");
-        }
-        if o.operand_packing {
-            add("pipe_compress");
-        }
-        if o.comp_reuse {
-            add("comp_reuse");
-        }
-        if o.value_pred {
-            add("value_pred");
-        }
-        if o.rf_compress {
-            add("rf_compress");
-        }
-        if o.cdp {
-            add("cdp");
-        }
-        if o.dmp {
-            add("dmp");
-        }
-        if cfg.noise.enabled() {
-            add("noise");
-        }
-        (names, n)
-    }
-
-    /// Rewinds the hook list to what [`Hooks::from_config`] builds for
-    /// `cfg` — without re-boxing any hook. Any installed fault hook is
-    /// dropped (a reset machine has no pending fault plan), learned
-    /// state is cleared in place, and the noise RNG streams are
-    /// re-derived from their seeds. If the surviving list does not
-    /// match the canonical set (e.g. a custom hook was
-    /// [`install`](Hooks::install)ed), it falls back to a full
-    /// rebuild.
-    pub fn reset_from_config(&mut self, cfg: &SimConfig) {
-        self.list.retain(|h| h.name() != "fault");
-        let (names, n) = Hooks::config_names(cfg);
-        let canonical = self.list.len() == n
-            && self.list.iter().zip(&names[..n]).all(|(h, e)| h.name() == *e);
-        if !canonical {
-            *self = Hooks::from_config(cfg);
-            return;
-        }
-        for h in &mut self.list {
-            h.reset(cfg);
-        }
-        self.recache_capabilities();
-    }
-
-    /// The installed hook names, in call order.
-    #[must_use]
-    pub fn names(&self) -> Vec<&'static str> {
-        self.list.iter().map(|h| h.name()).collect()
-    }
-
-    /// Fans [`OptHook::on_cycle_start`] out to every hook in order.
-    pub fn on_cycle_start(&mut self, st: &mut PipelineState) {
-        for h in &mut self.list {
-            h.on_cycle_start(st);
-        }
-    }
-
-    /// The first hook's degraded `rdcycle` reading, if any.
-    pub fn read_cycle(&mut self, cycle: u64) -> Option<u64> {
-        self.list.iter_mut().find_map(|h| h.read_cycle(cycle))
-    }
-
-    /// Fans [`OptHook::on_rename`] out to every hook in order.
-    pub fn on_rename(&mut self, rd: Reg) {
-        for h in &mut self.list {
-            h.on_rename(rd);
-        }
-    }
-
-    /// The first hook's load-value prediction, if any.
-    #[must_use]
-    pub fn predict_load(&self, pc: usize) -> Option<u64> {
-        self.list.iter().find_map(|h| h.predict_load(pc))
-    }
-
-    /// Fans [`OptHook::on_load_writeback`] out to every hook in order.
-    pub fn on_load_writeback(&mut self, pc: usize, value: u64) {
-        for h in &mut self.list {
-            h.on_load_writeback(pc, value);
-        }
-    }
-
-    /// The first non-[`MemoLookup::NotApplicable`] memo answer.
-    pub fn memo_lookup(
-        &mut self,
-        pc: usize,
-        vals: [u64; 2],
-        srcs: [Option<Reg>; 2],
-        base_eligible: bool,
-    ) -> MemoLookup {
-        for h in &mut self.list {
-            match h.memo_lookup(pc, vals, srcs, base_eligible) {
-                MemoLookup::NotApplicable => continue,
-                answer => return answer,
-            }
-        }
-        MemoLookup::NotApplicable
-    }
-
-    /// Fans [`OptHook::memo_insert`] out to every hook in order.
-    pub fn memo_insert(
-        &mut self,
-        pc: usize,
-        vals: [u64; 2],
-        srcs: [Option<Reg>; 2],
-        result: u64,
-        younger_redefines: &mut dyn FnMut(&[Option<Reg>; 2]) -> bool,
-    ) {
-        for h in &mut self.list {
-            h.memo_insert(pc, vals, srcs, result, younger_redefines);
-        }
-    }
-
-    /// The first hook's ALU execution plan, if any.
-    #[must_use]
-    pub fn plan_alu(&self, op: AluOp, a: u64, b: u64) -> Option<ExecPlan> {
-        self.list.iter().find_map(|h| h.plan_alu(op, a, b))
-    }
-
-    /// The first hook's FP execution plan, if any.
-    #[must_use]
-    pub fn plan_fp(&self, op: FpOp, a: u64, b: u64) -> Option<ExecPlan> {
-        self.list.iter().find_map(|h| h.plan_fp(op, a, b))
-    }
-
-    /// Whether any hook enables narrow ALU operand packing.
-    #[must_use]
-    pub fn operand_packing(&self) -> bool {
-        self.packing
-    }
-
-    /// Whether any hook enables silent-store checking.
-    #[must_use]
-    pub fn silent_stores(&self) -> bool {
-        self.ss
-    }
-
-    /// The first hook's store-dequeue decision, if any.
-    #[must_use]
-    pub fn store_dequeue_decision(&self, ss: SsState) -> Option<Result<(), NonSilentReason>> {
-        self.list.iter().find_map(|h| h.store_dequeue_decision(ss))
-    }
-
-    /// Whether any hook compresses `result` into a shared register.
-    #[must_use]
-    pub fn rfc_compresses(&self, result: u64, arch_regs: &[u64]) -> bool {
-        self.list.iter().any(|h| h.rfc_compresses(result, arch_regs))
-    }
-
-    /// Fans [`OptHook::on_commit_load`] out to every hook in order.
-    pub fn on_commit_load(
-        &mut self,
-        st: &mut PipelineState,
-        pc: usize,
-        addr: Option<u64>,
-        value: u64,
-        width: Option<Width>,
-    ) {
-        for h in &mut self.list {
-            h.on_commit_load(st, pc, addr, value, width);
-        }
-    }
-}
-
-// ---- The seven Table I optimization classes --------------------------
-
-/// Silent stores (§V-A1): SS-load checking plus silent dequeue.
-#[derive(Clone, Copy, Debug)]
-pub struct SilentStoreHook;
-
-impl OptHook for SilentStoreHook {
-    fn name(&self) -> &'static str {
-        "silent_store"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(*self)
-    }
-
-    fn silent_stores(&self) -> bool {
-        true
-    }
-
-    fn store_dequeue_decision(&self, ss: SsState) -> Option<Result<(), NonSilentReason>> {
-        Some(ss.dequeue_decision())
-    }
-}
-
-/// Computation simplification (§V-A2) and FP subnormal timing: plans
-/// operand-dependent execution latencies.
-#[derive(Clone, Copy, Debug)]
-pub struct CompSimplHook {
-    lat: crate::config::LatencyConfig,
-    opts: crate::config::OptConfig,
-}
-
-impl OptHook for CompSimplHook {
-    fn name(&self) -> &'static str {
-        "comp_simpl"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(*self)
-    }
-
-    fn plan_alu(&self, op: AluOp, a: u64, b: u64) -> Option<ExecPlan> {
-        Some(plan_alu(op, a, b, &self.lat, &self.opts))
-    }
-
-    fn plan_fp(&self, op: FpOp, a: u64, b: u64) -> Option<ExecPlan> {
-        Some(plan_fp(op, a, b, &self.lat, &self.opts))
-    }
-}
-
-/// Pipeline compression (§V-A4): packs two narrow ALU operations into
-/// one port.
-#[derive(Clone, Copy, Debug)]
-pub struct PipeCompressHook;
-
-impl OptHook for PipeCompressHook {
-    fn name(&self) -> &'static str {
-        "pipe_compress"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(*self)
-    }
-
-    fn operand_packing(&self) -> bool {
-        true
-    }
-}
-
-/// Computation reuse (§V-A3): memoizes results keyed by pc + operands.
-#[derive(Clone, Debug)]
-pub struct CompReuseHook {
-    table: ReuseTable,
-    simple_alu: bool,
-}
-
-impl OptHook for CompReuseHook {
-    fn name(&self) -> &'static str {
-        "comp_reuse"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(self.clone())
-    }
-
-    fn reset(&mut self, _cfg: &SimConfig) {
-        self.table.clear();
-    }
-
-    fn on_rename(&mut self, rd: Reg) {
-        self.table.invalidate_reg(rd);
-    }
-
-    fn memo_lookup(
-        &mut self,
-        pc: usize,
-        vals: [u64; 2],
-        srcs: [Option<Reg>; 2],
-        base_eligible: bool,
-    ) -> MemoLookup {
-        if !(base_eligible || self.simple_alu) {
-            return MemoLookup::NotApplicable;
-        }
-        match self.table.lookup(pc, vals, srcs) {
-            Some(result) => MemoLookup::Hit(result),
-            None => MemoLookup::Miss,
-        }
-    }
-
-    fn memo_insert(
-        &mut self,
-        pc: usize,
-        vals: [u64; 2],
-        srcs: [Option<Reg>; 2],
-        result: u64,
-        younger_redefines: &mut dyn FnMut(&[Option<Reg>; 2]) -> bool,
-    ) {
-        let stale =
-            self.table.key_kind() == crate::config::ReuseKey::RegIds && younger_redefines(&srcs);
-        if !stale {
-            self.table.insert(pc, vals, srcs, result);
-        }
-    }
-}
-
-/// Value prediction (§V-A5): predicts load values at dispatch, trains
-/// at writeback.
-#[derive(Clone, Debug)]
-pub struct ValuePredHook {
-    vp: ValuePredictor,
-}
-
-impl OptHook for ValuePredHook {
-    fn name(&self) -> &'static str {
-        "value_pred"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(self.clone())
-    }
-
-    fn reset(&mut self, _cfg: &SimConfig) {
-        self.vp.clear();
-    }
-
-    fn predict_load(&self, pc: usize) -> Option<u64> {
-        self.vp.predict(pc)
-    }
-
-    fn on_load_writeback(&mut self, pc: usize, value: u64) {
-        self.vp.update(pc, value);
-    }
-}
-
-/// Register-file compression (§V-A6): early tag release for
-/// compressible results.
-#[derive(Clone, Copy, Debug)]
-pub struct RfCompressHook {
-    rfc: RfCompressor,
-}
-
-impl OptHook for RfCompressHook {
-    fn name(&self) -> &'static str {
-        "rf_compress"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(*self)
-    }
-
-    fn rfc_compresses(&self, result: u64, arch_regs: &[u64]) -> bool {
-        self.rfc.compresses(result, arch_regs)
-    }
-}
-
-/// Content-directed prefetching (§V-C): scans committed loads' lines
-/// for pointer-shaped values.
-#[derive(Clone, Copy, Debug)]
-pub struct CdpHook {
-    cdp: Cdp,
-}
-
-impl OptHook for CdpHook {
-    fn name(&self) -> &'static str {
-        "cdp"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(*self)
-    }
-
-    fn on_commit_load(
-        &mut self,
-        st: &mut PipelineState,
-        _pc: usize,
-        addr: Option<u64>,
-        _value: u64,
-        _width: Option<Width>,
-    ) {
-        if let Some(addr) = addr {
-            let PipelineState { mem, hier, bus, .. } = st;
-            self.cdp.observe(addr, mem, hier, bus);
-        }
-    }
-}
-
-/// Indirect memory prefetching (§V-B): stream detection, indirection
-/// correlation, and chained prefetch launch at commit.
-#[derive(Clone, Debug)]
-pub struct ImpHook {
-    imp: Imp,
-}
-
-impl OptHook for ImpHook {
-    fn name(&self) -> &'static str {
-        "dmp"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(self.clone())
-    }
-
-    fn reset(&mut self, _cfg: &SimConfig) {
-        self.imp.clear();
-    }
-
-    fn on_commit_load(
-        &mut self,
-        st: &mut PipelineState,
-        pc: usize,
-        addr: Option<u64>,
-        value: u64,
-        width: Option<Width>,
-    ) {
-        if let (Some(addr), Some(width)) = (addr, width) {
-            let PipelineState { mem, hier, bus, .. } = st;
-            self.imp.observe(pc, addr, value, width, mem, hier, bus);
-        }
-    }
-}
-
-// ---- Fault injection as a hook ---------------------------------------
-
-/// Applies a [`FaultPlan`]'s scheduled events at the start of their
-/// cycles — fault injection expressed as just another pipeline hook.
-#[derive(Clone, Debug)]
-pub struct FaultHook {
-    plan: FaultPlan,
-    cursor: usize,
-}
-
-impl FaultHook {
-    /// Wraps a plan; `cursor` indexes the first event not yet applied
-    /// (events at or before the install cycle are skipped, not fired
-    /// retroactively).
-    #[must_use]
-    pub fn new(plan: FaultPlan, cursor: usize) -> FaultHook {
-        FaultHook { plan, cursor }
-    }
-}
-
-impl OptHook for FaultHook {
-    fn name(&self) -> &'static str {
-        "fault"
-    }
-
-    fn box_clone(&self) -> Box<dyn OptHook> {
-        Box::new(self.clone())
-    }
-
-    fn on_cycle_start(&mut self, st: &mut PipelineState) {
-        while let Some(ev) = self.plan.events().get(self.cursor) {
-            if ev.cycle > st.cycle() {
-                break;
-            }
-            self.cursor += 1;
-            apply_fault(st, ev.kind);
+        if let (Some(imp), Some(width)) = (&mut self.imp, width) {
+            imp.observe(pc, addr, value, width, mem, hier, bus);
         }
     }
 }
@@ -835,7 +348,10 @@ fn apply_fault(st: &mut PipelineState, kind: FaultKind) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptConfig;
+    use crate::noise::NoiseConfig;
+    use crate::trace::TraceEvent;
+    use crate::Machine;
+    use pandora_isa::Asm;
 
     fn full_cfg() -> SimConfig {
         let mut cfg = SimConfig::with_opts(OptConfig {
@@ -845,75 +361,98 @@ mod tests {
             dmp: true,
             ..OptConfig::default()
         });
-        cfg.noise = crate::NoiseConfig::at_intensity(10, 7);
+        cfg.noise = NoiseConfig::at_intensity(10, 7);
         cfg
-    }
-
-    #[test]
-    fn reset_drops_the_fault_hook_and_keeps_the_boxes() {
-        let cfg = full_cfg();
-        let mut hooks = Hooks::from_config(&cfg);
-        let names_before = hooks.names();
-        let ptrs_before: Vec<*const ()> = hooks
-            .list
-            .iter()
-            .map(|h| std::ptr::from_ref::<dyn OptHook>(&**h).cast::<()>())
-            .collect();
-        hooks.install(Box::new(FaultHook::new(FaultPlan::default(), 0)));
-        assert!(hooks.names().contains(&"fault"));
-
-        hooks.reset_from_config(&cfg);
-        assert_eq!(hooks.names(), names_before, "canonical order survives reset");
-        let ptrs_after: Vec<*const ()> = hooks
-            .list
-            .iter()
-            .map(|h| std::ptr::from_ref::<dyn OptHook>(&**h).cast::<()>())
-            .collect();
-        assert_eq!(ptrs_before, ptrs_after, "reset must reuse the existing boxes");
     }
 
     #[test]
     fn reset_clears_learned_state_in_place() {
         let cfg = full_cfg();
         let mut hooks = Hooks::from_config(&cfg);
-        // Train the value predictor past its confidence threshold and
-        // memoize a multiply result.
+        // Train the value predictor past its confidence threshold,
+        // memoize a multiply result, and install a fault plan.
         for _ in 0..16 {
             hooks.on_load_writeback(3, 0xdead);
         }
         assert_eq!(hooks.predict_load(3), Some(0xdead));
-        hooks.memo_insert(5, [6, 7], [None, None], 42, &mut |_| false);
+        hooks.memo_insert(5, [6, 7], [None, None], 42, |_| false);
         assert_eq!(hooks.memo_lookup(5, [6, 7], [None, None], true), MemoLookup::Hit(42));
+        hooks.inject_faults(FaultPlan::single(100, FaultKind::SpuriousSquash), 0);
 
-        hooks.reset_from_config(&cfg);
+        hooks.reset();
         assert_eq!(hooks.predict_load(3), None, "VP confidence must be forgotten");
         assert_eq!(
             hooks.memo_lookup(5, [6, 7], [None, None], true),
             MemoLookup::Miss,
             "reuse memos must be forgotten"
         );
+        assert!(hooks.faults.is_none(), "a reset machine has no fault plan");
     }
 
     #[test]
-    fn reset_falls_back_to_rebuild_for_non_canonical_lists() {
-        #[derive(Clone, Debug)]
-        struct Custom;
-        impl OptHook for Custom {
-            fn name(&self) -> &'static str {
-                "custom"
+    fn noise_disturbs_before_the_fault_plan_fires() {
+        // Noise fills the one line of its window every cycle; a fault
+        // evicts that same line at cycle 1. Noise first, so the
+        // eviction wins and the line ends the cycle absent.
+        const LINE: u64 = 0x4000;
+        let cfg = SimConfig {
+            noise: NoiseConfig {
+                fill_permille: 1000,
+                seed: 1,
+                ..NoiseConfig::quiet()
             }
-            fn box_clone(&self) -> Box<dyn OptHook> {
-                Box::new(self.clone())
-            }
-        }
-        let cfg = full_cfg();
-        let mut hooks = Hooks::from_config(&cfg);
-        hooks.install(Box::new(Custom));
-        hooks.reset_from_config(&cfg);
-        assert_eq!(
-            hooks.names(),
-            Hooks::from_config(&cfg).names(),
-            "a non-canonical list is rebuilt from the config"
+            .with_window(LINE, LINE + 64),
+            ..SimConfig::default()
+        };
+        let mut a = Asm::new();
+        a.halt();
+        let mut m = Machine::new(cfg);
+        m.load_program(&a.assemble().unwrap());
+        m.inject_faults(FaultPlan::single(1, FaultKind::EvictLine { addr: LINE }));
+        m.step().unwrap();
+        assert_eq!((m.stats().noise_events, m.stats().faults_injected), (1, 1));
+        assert!(
+            !m.hierarchy().in_l1(LINE) && !m.hierarchy().in_l2(LINE),
+            "the fault's eviction must follow the noise fill"
         );
+    }
+
+    #[test]
+    fn cdp_prefetches_before_the_imp() {
+        // A load at pc 7 streams over the dwords of one line whose last
+        // dword holds a pointer. The CDP chases the pointer on every
+        // commit; on the fourth, the now-confident IMP also prefetches
+        // the stream element `DISTANCE` ahead. Only that commit is
+        // traced.
+        const LINE: u64 = 0x1000;
+        const PTR: u64 = 0x8000;
+        const DISTANCE: u64 = 2;
+        let cfg = SimConfig::with_opts(OptConfig {
+            cdp: true,
+            dmp: true,
+            dmp_distance: DISTANCE,
+            ..OptConfig::default()
+        });
+        let mut st = PipelineState::new(cfg);
+        let mut hooks = Hooks::from_config(&cfg);
+        st.mem.write_u64(LINE + 56, PTR).unwrap();
+        for i in 0..4 {
+            if i == 3 {
+                st.bus.trace_mut().enable();
+            }
+            hooks.on_commit_load(&mut st, 7, Some(LINE + 8 * i), 0, Some(Width::Dword));
+        }
+        let prefetched: Vec<u64> = st
+            .bus
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::DmpPrefetch { addr, .. } => Some(addr),
+                _ => None,
+            })
+            .collect();
+        let ahead = LINE + 8 * (3 + DISTANCE);
+        assert_eq!(prefetched, [PTR, ahead], "CDP first, then IMP");
     }
 }

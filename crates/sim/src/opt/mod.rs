@@ -2,9 +2,9 @@
 //! paper (Table I / Table II), plus the baseline branch predictor.
 //!
 //! Each submodule documents which paper section and MLD it implements;
-//! [`hook`] packages each class as an [`hook::OptHook`] the pipeline
-//! stages consult, so a [`crate::Machine`] is "baseline + a list of
-//! hooks". Everything is off by default
+//! `hook` gathers the enabled classes into the one struct the pipeline
+//! stages consult, so a [`crate::Machine`] is "baseline + the enabled
+//! classes". Everything is off by default
 //! ([`crate::OptConfig::baseline`]) so the default machine matches
 //! Table I's "Baseline" column.
 
@@ -13,7 +13,7 @@ pub mod cdp;
 pub mod comp_reuse;
 pub mod comp_simpl;
 pub mod dmp;
-pub mod hook;
+pub(crate) mod hook;
 pub mod pipe_compress;
 pub mod rf_compress;
 pub mod silent_store;

@@ -10,67 +10,58 @@ use crate::error::SimError;
 use crate::event::SimEvent;
 use crate::opt::hook::Hooks;
 
-use super::{PipelineStage, PipelineState, UopKind};
+use super::{PipelineState, UopKind};
 
-/// The commit stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommitStage;
-
-impl PipelineStage for CommitStage {
-    fn name(&self) -> &'static str {
-        "commit"
-    }
-
-    fn tick(&mut self, st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
-        for _ in 0..st.cfg.pipeline.commit_width {
-            let Some(head) = st.rob.front() else { break };
-            if !head.done {
-                break;
-            }
-            if matches!(head.kind, UopKind::Fence | UopKind::Halt) && !st.sq.is_empty() {
-                break; // fences and halt drain the store queue first
-            }
-            let Some(uop) = st.rob.pop_front() else { break };
-            if let Some(fault) = uop.fault {
-                return Err(SimError::Mem { fault, pc: uop.pc });
-            }
-            st.last_progress_cycle = st.cycle;
-            match uop.kind {
-                UopKind::Halt => {
-                    st.halted = true;
-                    st.bus.emit(SimEvent::InstrCommitted { pc: uop.pc });
-                    return Ok(());
-                }
-                UopKind::Fence => {
-                    st.fences_inflight -= 1;
-                    if st.fences_inflight == 0 {
-                        st.fetch_blocked = false;
-                    }
-                }
-                UopKind::Store => {
-                    if let Some(e) = st.sq.iter_mut().find(|e| e.seq == uop.seq) {
-                        e.committed = true;
-                    }
-                }
-                UopKind::Load => {
-                    st.lq.retain(|&s| s != uop.seq);
-                    hooks.on_commit_load(st, uop.pc, uop.addr, uop.result, uop.mem_width);
-                }
-                _ => {}
-            }
-            if let Some((arch, prev)) = uop.prev {
-                let Some(dst) = uop.dst else {
-                    return Err(st.invalid_state(format!(
-                        "committing pc {} renames {arch} but has no \
-                         destination tag",
-                        uop.pc
-                    )));
-                };
-                st.arch_regs[arch.index()] = st.val(dst);
-                st.free_tag(prev);
-            }
-            st.bus.emit(SimEvent::InstrCommitted { pc: uop.pc });
+/// Retires up to `commit_width` done uops in order.
+pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
+    for _ in 0..st.cfg.pipeline.commit_width {
+        let Some(head) = st.rob.front() else { break };
+        if !head.done {
+            break;
         }
-        Ok(())
+        if matches!(head.kind, UopKind::Fence | UopKind::Halt) && !st.sq.is_empty() {
+            break; // fences and halt drain the store queue first
+        }
+        let Some(uop) = st.rob.pop_front() else { break };
+        if let Some(fault) = uop.fault {
+            return Err(SimError::Mem { fault, pc: uop.pc });
+        }
+        st.last_progress_cycle = st.cycle;
+        match uop.kind {
+            UopKind::Halt => {
+                st.halted = true;
+                st.bus.emit(SimEvent::InstrCommitted { pc: uop.pc });
+                return Ok(());
+            }
+            UopKind::Fence => {
+                st.fences_inflight -= 1;
+                if st.fences_inflight == 0 {
+                    st.fetch_blocked = false;
+                }
+            }
+            UopKind::Store => {
+                if let Some(e) = st.sq.iter_mut().find(|e| e.seq == uop.seq) {
+                    e.committed = true;
+                }
+            }
+            UopKind::Load => {
+                st.lq.retain(|&s| s != uop.seq);
+                hooks.on_commit_load(st, uop.pc, uop.addr, uop.result, uop.mem_width);
+            }
+            _ => {}
+        }
+        if let Some((arch, prev)) = uop.prev {
+            let Some(dst) = uop.dst else {
+                return Err(st.invalid_state(format!(
+                    "committing pc {} renames {arch} but has no \
+                     destination tag",
+                    uop.pc
+                )));
+            };
+            st.arch_regs[arch.index()] = st.val(dst);
+            st.free_tag(prev);
+        }
+        st.bus.emit(SimEvent::InstrCommitted { pc: uop.pc });
     }
+    Ok(())
 }

@@ -19,124 +19,114 @@ use crate::opt::pipe_compress::{packable, AluSlots};
 use crate::config::OptConfig;
 
 use super::squash::squash_after;
-use super::{PipelineStage, PipelineState, Seq, UopKind};
+use super::{PipelineState, Seq, UopKind};
 
-/// The writeback/completion stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExecuteStage;
-
-impl PipelineStage for ExecuteStage {
-    fn name(&self) -> &'static str {
-        "execute"
+/// Writes back every uop whose latency has elapsed, verifying control
+/// flow and value predictions.
+pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
+    let cycle = st.cycle;
+    // Nothing in flight can complete yet (the common case while a
+    // long cache miss is outstanding): skip the ROB scan. The
+    // issue stage lowers `exec_wakeup` for every uop it starts.
+    if cycle < st.exec_wakeup {
+        return Ok(());
     }
-
-    fn tick(&mut self, st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
-        let cycle = st.cycle;
-        // Nothing in flight can complete yet (the common case while a
-        // long cache miss is outstanding): skip the ROB scan. The
-        // issue stage lowers `exec_wakeup` for every uop it starts.
-        if cycle < st.exec_wakeup {
-            return Ok(());
+    // One forward pass. This matches the old
+    // restart-`position`-from-0 loop cycle-for-cycle: writing back
+    // a uop never makes an *older* uop completable (their
+    // `done_cycle`s are already set), and a squash only removes
+    // *younger* entries — everything at or before the current
+    // index survives untouched.
+    let mut next_wakeup = u64::MAX;
+    let mut idx = 0;
+    while idx < st.rob.len() {
+        {
+            let u = &st.rob[idx];
+            if !u.executing || u.done {
+                idx += 1;
+                continue;
+            }
+            if u.done_cycle > cycle {
+                next_wakeup = next_wakeup.min(u.done_cycle);
+                idx += 1;
+                continue;
+            }
         }
-        // One forward pass. This matches the old
-        // restart-`position`-from-0 loop cycle-for-cycle: writing back
-        // a uop never makes an *older* uop completable (their
-        // `done_cycle`s are already set), and a squash only removes
-        // *younger* entries — everything at or before the current
-        // index survives untouched.
-        let mut next_wakeup = u64::MAX;
-        let mut idx = 0;
-        while idx < st.rob.len() {
-            {
-                let u = &st.rob[idx];
-                if !u.executing || u.done {
-                    idx += 1;
+        let seq = st.rob[idx].seq;
+        // Mark complete and broadcast the result.
+        {
+            let uop = &mut st.rob[idx];
+            uop.done = true;
+            uop.executing = false;
+        }
+        // `Uop` is `Copy` (inline source tags), so lifting it out
+        // of the ROB costs a memcpy, not a heap clone.
+        let uop = st.rob[idx];
+        if let Some(dst) = uop.dst {
+            st.prf_vals[dst as usize] = uop.result;
+            st.prf_ready[dst as usize] = true;
+        }
+        if let Some(ev) = uop.simpl_event {
+            st.bus.emit(SimEvent::Simplified(ev));
+        }
+        if let Some((vals, srcs)) = uop.reuse_info {
+            // Insert-after-invalidate hazard, Sn only: a younger
+            // in-flight instruction may already have redefined one
+            // of this entry's source registers — its rename-time
+            // invalidation ran before this insert, so inserting now
+            // would resurrect a stale register binding. (Sv keys on
+            // operand *values*, which are correct by construction.)
+            let rob = &st.rob;
+            hooks.memo_insert(uop.pc, vals, srcs, uop.result, |s| {
+                rob.iter()
+                    .any(|u| u.seq > seq && matches!(u.prev, Some((r, _)) if s.contains(&Some(r))))
+            });
+        }
+        // Register-file compression: early tag release.
+        if let Some(dst) = uop.dst {
+            if !st.shared_tags.contains(&dst) && hooks.rfc_compresses(uop.result, &st.arch_regs) {
+                st.shared_tags.push(dst);
+                st.live_tags -= 1;
+                st.bus.emit(SimEvent::RfcShared);
+            }
+        }
+        // Control-flow verification.
+        match uop.kind {
+            UopKind::Branch => {
+                if let Instr::Branch { .. } = uop.instr {
+                    st.bimodal.update(uop.pc, uop.actual_target != uop.pc + 1);
+                }
+                if uop.actual_target != uop.pred_target {
+                    squash_after(st, seq, uop.actual_target, SquashReason::Branch);
                     continue;
                 }
-                if u.done_cycle > cycle {
-                    next_wakeup = next_wakeup.min(u.done_cycle);
-                    idx += 1;
+            }
+            UopKind::Jalr => {
+                st.btb.update(uop.pc, uop.actual_target);
+                if uop.actual_target != uop.pred_target {
+                    squash_after(st, seq, uop.actual_target, SquashReason::Branch);
                     continue;
                 }
             }
-            let seq = st.rob[idx].seq;
-            // Mark complete and broadcast the result.
-            {
-                let uop = &mut st.rob[idx];
-                uop.done = true;
-                uop.executing = false;
-            }
-            // `Uop` is `Copy` (inline source tags), so lifting it out
-            // of the ROB costs a memcpy, not a heap clone.
-            let uop = st.rob[idx];
-            if let Some(dst) = uop.dst {
-                st.prf_vals[dst as usize] = uop.result;
-                st.prf_ready[dst as usize] = true;
-            }
-            if let Some(ev) = uop.simpl_event {
-                st.bus.emit(SimEvent::Simplified(ev));
-            }
-            if let Some((vals, srcs)) = uop.reuse_info {
-                // Insert-after-invalidate hazard, Sn only: a younger
-                // in-flight instruction may already have redefined one
-                // of this entry's source registers — its rename-time
-                // invalidation ran before this insert, so inserting now
-                // would resurrect a stale register binding. (Sv keys on
-                // operand *values*, which are correct by construction.)
-                let rob = &st.rob;
-                hooks.memo_insert(uop.pc, vals, srcs, uop.result, &mut |s| {
-                    rob.iter().any(|u| {
-                        u.seq > seq && matches!(u.prev, Some((r, _)) if s.contains(&Some(r)))
-                    })
-                });
-            }
-            // Register-file compression: early tag release.
-            if let Some(dst) = uop.dst {
-                if !st.shared_tags.contains(&dst) && hooks.rfc_compresses(uop.result, &st.arch_regs)
-                {
-                    st.shared_tags.push(dst);
-                    st.live_tags -= 1;
-                    st.bus.emit(SimEvent::RfcShared);
-                }
-            }
-            // Control-flow verification.
-            match uop.kind {
-                UopKind::Branch => {
-                    if let Instr::Branch { .. } = uop.instr {
-                        st.bimodal.update(uop.pc, uop.actual_target != uop.pc + 1);
-                    }
-                    if uop.actual_target != uop.pred_target {
-                        squash_after(st, seq, uop.actual_target, SquashReason::Branch);
+            UopKind::Load if uop.fault.is_none() => {
+                hooks.on_load_writeback(uop.pc, uop.result);
+                if let Some(pred) = uop.vp_pred {
+                    if pred == uop.result {
+                        st.bus.emit(SimEvent::ValueConfirmed { pc: uop.pc });
+                    } else {
+                        squash_after(st, seq, uop.pc + 1, SquashReason::Value);
                         continue;
                     }
                 }
-                UopKind::Jalr => {
-                    st.btb.update(uop.pc, uop.actual_target);
-                    if uop.actual_target != uop.pred_target {
-                        squash_after(st, seq, uop.actual_target, SquashReason::Branch);
-                        continue;
-                    }
-                }
-                UopKind::Load if uop.fault.is_none() => {
-                    hooks.on_load_writeback(uop.pc, uop.result);
-                    if let Some(pred) = uop.vp_pred {
-                        if pred == uop.result {
-                            st.bus.emit(SimEvent::ValueConfirmed { pc: uop.pc });
-                        } else {
-                            squash_after(st, seq, uop.pc + 1, SquashReason::Value);
-                            continue;
-                        }
-                    }
-                }
-                _ => {}
             }
+            _ => {}
         }
-        // Entries issued later this cycle lower this via
-        // `note_exec_wakeup`; a squash can only leave it stale-low,
-        // which is harmless (see the field's invariant).
-        st.exec_wakeup = next_wakeup;
-        Ok(())
     }
+    // Entries issued later this cycle lower this via
+    // `note_exec_wakeup`; a squash can only leave it stale-low,
+    // which is harmless (see the field's invariant).
+    st.exec_wakeup = next_wakeup;
+    Ok(())
 }
 
 /// Attempts to execute the load at ROB index `idx`. Returns whether
@@ -379,8 +369,8 @@ pub(crate) fn try_issue_compute(
                 port: PortClass::None,
                 event: None,
             },
-            // The noise hook may coarsen/jitter the reading.
-            hooks.read_cycle(cycle).unwrap_or(cycle),
+            // The noise source may coarsen/jitter the reading.
+            hooks.read_cycle(cycle),
             0,
             None,
             false,
@@ -481,14 +471,14 @@ pub(crate) fn try_issue_compute(
 /// double-count).
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn plan_reusable(
-    hooks: &mut Hooks,
+    hooks: &Hooks,
     pc: usize,
     a: u64,
     b: u64,
     srcs: [Option<Reg>; 2],
     base_eligible: bool,
     eval: impl FnOnce() -> u64,
-    plan: impl FnOnce(&mut Hooks, u64, u64) -> ExecPlan,
+    plan: impl FnOnce(&Hooks, u64, u64) -> ExecPlan,
 ) -> (ExecPlan, u64, Option<([u64; 2], [Option<Reg>; 2])>, bool) {
     match hooks.memo_lookup(pc, [a, b], srcs, base_eligible) {
         MemoLookup::Hit(result) => (

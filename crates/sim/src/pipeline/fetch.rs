@@ -7,65 +7,52 @@
 
 use pandora_isa::Instr;
 
-use crate::error::SimError;
-use crate::opt::hook::Hooks;
+use super::PipelineState;
 
-use super::{PipelineStage, PipelineState};
-
-/// The fetch stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FetchStage;
-
-impl PipelineStage for FetchStage {
-    fn name(&self) -> &'static str {
-        "fetch"
+/// Fetches up to `fetch_width` instructions into the fetch buffer.
+pub(crate) fn tick(st: &mut PipelineState) {
+    if st.halted || st.fetch_blocked || st.cycle < st.fetch_stall_until {
+        return;
     }
-
-    fn tick(&mut self, st: &mut PipelineState, _hooks: &mut Hooks) -> Result<(), SimError> {
-        if st.halted || st.fetch_blocked || st.cycle < st.fetch_stall_until {
-            return Ok(());
+    for _ in 0..st.cfg.pipeline.fetch_width {
+        if st.fetch_buf.len() >= 2 * st.cfg.pipeline.dispatch_width.max(4) {
+            break;
         }
-        for _ in 0..st.cfg.pipeline.fetch_width {
-            if st.fetch_buf.len() >= 2 * st.cfg.pipeline.dispatch_width.max(4) {
-                break;
-            }
-            let Some(&instr) = st.prog.get(st.fetch_pc) else {
-                break;
-            };
-            let pc = st.fetch_pc;
-            match instr {
-                Instr::Branch { target, .. } => {
-                    let taken = st.bimodal.predict(pc);
-                    let next = if taken { target } else { pc + 1 };
-                    st.fetch_buf.push_back((pc, instr, next));
-                    st.fetch_pc = next;
-                    if taken {
-                        break;
-                    }
-                }
-                Instr::Jal { target, .. } => {
-                    st.fetch_buf.push_back((pc, instr, target));
-                    st.fetch_pc = target;
+        let Some(&instr) = st.prog.get(st.fetch_pc) else {
+            break;
+        };
+        let pc = st.fetch_pc;
+        match instr {
+            Instr::Branch { target, .. } => {
+                let taken = st.bimodal.predict(pc);
+                let next = if taken { target } else { pc + 1 };
+                st.fetch_buf.push_back((pc, instr, next));
+                st.fetch_pc = next;
+                if taken {
                     break;
-                }
-                Instr::Jalr { .. } => {
-                    let next = st.btb.predict(pc).unwrap_or(pc + 1);
-                    st.fetch_buf.push_back((pc, instr, next));
-                    st.fetch_pc = next;
-                    break;
-                }
-                Instr::Fence | Instr::Halt => {
-                    st.fetch_buf.push_back((pc, instr, pc + 1));
-                    st.fetch_pc = pc + 1;
-                    st.fetch_blocked = true;
-                    break;
-                }
-                _ => {
-                    st.fetch_buf.push_back((pc, instr, pc + 1));
-                    st.fetch_pc = pc + 1;
                 }
             }
+            Instr::Jal { target, .. } => {
+                st.fetch_buf.push_back((pc, instr, target));
+                st.fetch_pc = target;
+                break;
+            }
+            Instr::Jalr { .. } => {
+                let next = st.btb.predict(pc).unwrap_or(pc + 1);
+                st.fetch_buf.push_back((pc, instr, next));
+                st.fetch_pc = next;
+                break;
+            }
+            Instr::Fence | Instr::Halt => {
+                st.fetch_buf.push_back((pc, instr, pc + 1));
+                st.fetch_pc = pc + 1;
+                st.fetch_blocked = true;
+                break;
+            }
+            _ => {
+                st.fetch_buf.push_back((pc, instr, pc + 1));
+                st.fetch_pc = pc + 1;
+            }
         }
-        Ok(())
     }
 }

@@ -15,136 +15,128 @@ use crate::opt::pipe_compress::AluSlots;
 use crate::opt::silent_store::SsState;
 
 use super::execute::{issue_flush, issue_store, try_issue_compute, try_issue_load};
-use super::{PipelineStage, PipelineState, UopKind};
+use super::{PipelineState, UopKind};
 
-/// The issue stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IssueStage;
-
-impl PipelineStage for IssueStage {
-    fn name(&self) -> &'static str {
-        "issue"
+/// Issues up to `issue_width` ready uops within the port budgets, then
+/// SS-loads for the stores whose address just resolved.
+pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
+    // Nothing waiting in the issue queue: skip the ROB walk. This
+    // is observationally identical to running it — no uop can
+    // issue, no store can resolve, and the `PackedPairs` emit
+    // below would add zero to its counter (it has no trace event).
+    if st.iq_count == 0 {
+        return Ok(());
     }
+    let p = st.cfg.pipeline;
+    let mut alu = AluSlots::new(p.alu_ports, hooks.operand_packing());
+    let mut muldiv = p.muldiv_ports;
+    let mut fp = p.fp_ports;
+    let mut loads = p.load_ports;
+    let mut stores = p.store_ports;
+    let mut issued = 0usize;
+    // Scratch buffer owned by `PipelineState` so steady-state
+    // cycles never allocate; taken (not borrowed) because the ROB
+    // walk below needs `st` mutably. An early `?` return leaves an
+    // empty buffer behind, which the next tick simply regrows.
+    let mut newly_resolved_stores = std::mem::take(&mut st.store_resolve_scratch);
+    newly_resolved_stores.clear();
 
-    fn tick(&mut self, st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
-        // Nothing waiting in the issue queue: skip the ROB walk. This
-        // is observationally identical to running it — no uop can
-        // issue, no store can resolve, and the `PackedPairs` emit
-        // below would add zero to its counter (it has no trace event).
-        if st.iq_count == 0 {
-            return Ok(());
+    // Once every in-IQ uop has been visited the rest of the ROB is
+    // all issued/done entries — stop walking. Counted by *visits*
+    // (not the live `iq_count`, which `leave_iq` decrements).
+    let mut pending = st.iq_count;
+    for idx in 0..st.rob.len() {
+        if issued >= p.issue_width || pending == 0 {
+            break;
         }
-        let p = st.cfg.pipeline;
-        let mut alu = AluSlots::new(p.alu_ports, hooks.operand_packing());
-        let mut muldiv = p.muldiv_ports;
-        let mut fp = p.fp_ports;
-        let mut loads = p.load_ports;
-        let mut stores = p.store_ports;
-        let mut issued = 0usize;
-        // Scratch buffer owned by `PipelineState` so steady-state
-        // cycles never allocate; taken (not borrowed) because the ROB
-        // walk below needs `st` mutably. An early `?` return leaves an
-        // empty buffer behind, which the next tick simply regrows.
-        let mut newly_resolved_stores = std::mem::take(&mut st.store_resolve_scratch);
-        newly_resolved_stores.clear();
-
-        // Once every in-IQ uop has been visited the rest of the ROB is
-        // all issued/done entries — stop walking. Counted by *visits*
-        // (not the live `iq_count`, which `leave_iq` decrements).
-        let mut pending = st.iq_count;
-        for idx in 0..st.rob.len() {
-            if issued >= p.issue_width || pending == 0 {
-                break;
-            }
-            let uop = &st.rob[idx];
-            if !uop.in_iq || uop.executing || uop.done {
-                continue;
-            }
-            pending -= 1;
-            if !st.srcs_ready(uop) {
-                continue;
-            }
-            let kind = uop.kind;
-            match kind {
-                UopKind::Load => {
-                    if loads == 0 {
-                        continue;
-                    }
-                    if try_issue_load(st, idx) {
-                        loads -= 1;
-                        issued += 1;
-                        st.leave_iq(idx)?;
-                    }
+        let uop = &st.rob[idx];
+        if !uop.in_iq || uop.executing || uop.done {
+            continue;
+        }
+        pending -= 1;
+        if !st.srcs_ready(uop) {
+            continue;
+        }
+        let kind = uop.kind;
+        match kind {
+            UopKind::Load => {
+                if loads == 0 {
+                    continue;
                 }
-                UopKind::Store => {
-                    if stores == 0 {
-                        continue;
-                    }
-                    let seq = issue_store(st, idx);
-                    newly_resolved_stores.push(seq);
-                    stores -= 1;
-                    issued += 1;
-                    st.leave_iq(idx)?;
-                }
-                UopKind::Flush => {
-                    if loads == 0 {
-                        continue;
-                    }
-                    issue_flush(st, idx);
+                if try_issue_load(st, idx) {
                     loads -= 1;
                     issued += 1;
                     st.leave_iq(idx)?;
                 }
-                _ => {
-                    if try_issue_compute(st, hooks, idx, &mut alu, &mut muldiv, &mut fp) {
-                        issued += 1;
-                        st.leave_iq(idx)?;
-                    }
-                }
             }
-        }
-        // `PackedPairs` is a pure counter add with no trace event, so
-        // a zero-pair cycle (every cycle without the packing hook) can
-        // skip the emit without observable difference.
-        let pairs = alu.packed_pairs();
-        if pairs > 0 {
-            st.bus.emit(SimEvent::PackedPairs { pairs });
-        }
-
-        // Read-port stealing: stores whose address just resolved get an
-        // SS-load if a load port is still free this cycle (Fig 4 A/D vs C).
-        if hooks.silent_stores() {
-            for &seq in &newly_resolved_stores {
-                let Some(e) = st.sq.iter().position(|e| e.seq == seq) else {
-                    continue;
-                };
-                let entry = st.sq[e];
-                let Some(addr) = entry.addr else {
-                    continue;
-                };
-                let cycle = st.cycle;
-                if entry.ss != SsState::NotChecked {
+            UopKind::Store => {
+                if stores == 0 {
                     continue;
                 }
+                let seq = issue_store(st, idx);
+                newly_resolved_stores.push(seq);
+                stores -= 1;
+                issued += 1;
+                st.leave_iq(idx)?;
+            }
+            UopKind::Flush => {
                 if loads == 0 {
-                    st.sq[e].ss = SsState::NoPort;
-                    st.bus.emit(SimEvent::SsLoadNoPort { pc: entry.pc });
                     continue;
                 }
+                issue_flush(st, idx);
                 loads -= 1;
-                if !st.mem.contains(addr, entry.width.bytes()) {
-                    // A faulting store never performs; skip the check.
-                    st.sq[e].ss = SsState::NoPort;
-                    continue;
+                issued += 1;
+                st.leave_iq(idx)?;
+            }
+            _ => {
+                if try_issue_compute(st, hooks, idx, &mut alu, &mut muldiv, &mut fp) {
+                    issued += 1;
+                    st.leave_iq(idx)?;
                 }
-                let latency = st.demand_access(addr);
-                st.sq[e].ss = SsState::Outstanding {
-                    done_cycle: cycle + latency,
-                };
-                st.bus.emit(SimEvent::SsLoadIssued { pc: entry.pc, addr });
             }
         }
-        st.store_resolve_scratch = newly_resolved_stores;
-        Ok(())
     }
+    // `PackedPairs` is a pure counter add with no trace event, so
+    // a zero-pair cycle (every cycle without the packing hook) can
+    // skip the emit without observable difference.
+    let pairs = alu.packed_pairs();
+    if pairs > 0 {
+        st.bus.emit(SimEvent::PackedPairs { pairs });
+    }
+
+    // Read-port stealing: stores whose address just resolved get an
+    // SS-load if a load port is still free this cycle (Fig 4 A/D vs C).
+    if hooks.silent_stores() {
+        for &seq in &newly_resolved_stores {
+            let Some(e) = st.sq.iter().position(|e| e.seq == seq) else {
+                continue;
+            };
+            let entry = st.sq[e];
+            let Some(addr) = entry.addr else {
+                continue;
+            };
+            let cycle = st.cycle;
+            if entry.ss != SsState::NotChecked {
+                continue;
+            }
+            if loads == 0 {
+                st.sq[e].ss = SsState::NoPort;
+                st.bus.emit(SimEvent::SsLoadNoPort { pc: entry.pc });
+                continue;
+            }
+            loads -= 1;
+            if !st.mem.contains(addr, entry.width.bytes()) {
+                // A faulting store never performs; skip the check.
+                st.sq[e].ss = SsState::NoPort;
+                continue;
+            }
+            let latency = st.demand_access(addr);
+            st.sq[e].ss = SsState::Outstanding {
+                done_cycle: cycle + latency,
+            };
+            st.bus.emit(SimEvent::SsLoadIssued { pc: entry.pc, addr });
+        }
+    }
+    st.store_resolve_scratch = newly_resolved_stores;
+    Ok(())
 }

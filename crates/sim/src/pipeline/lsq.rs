@@ -11,23 +11,13 @@ use crate::error::SimError;
 use crate::event::SimEvent;
 use crate::opt::hook::Hooks;
 use crate::opt::silent_store::SsState;
-use crate::trace::NonSilentReason;
 
-use super::{width_mask, PipelineStage, PipelineState};
+use super::{width_mask, PipelineState};
 
-/// The load/store-queue stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LsqStage;
-
-impl PipelineStage for LsqStage {
-    fn name(&self) -> &'static str {
-        "lsq"
-    }
-
-    fn tick(&mut self, st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
-        resolve_ss_loads(st);
-        dequeue_stores(st, hooks)
-    }
+/// Resolves returned SS-loads, then dequeues committed stores.
+pub(crate) fn tick(st: &mut PipelineState, hooks: &Hooks) -> Result<(), SimError> {
+    resolve_ss_loads(st);
+    dequeue_stores(st, hooks)
 }
 
 fn resolve_ss_loads(st: &mut PipelineState) {
@@ -83,7 +73,7 @@ fn resolve_ss_loads(st: &mut PipelineState) {
     }
 }
 
-fn dequeue_stores(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
+fn dequeue_stores(st: &mut PipelineState, hooks: &Hooks) -> Result<(), SimError> {
     loop {
         let cycle = st.cycle;
         let Some(head) = st.sq.front_mut() else { break };
@@ -121,12 +111,7 @@ fn dequeue_stores(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimEr
             }
             break;
         }
-        let decision = hooks.store_dequeue_decision(head.ss).unwrap_or_else(|| {
-            head.ss
-                .dequeue_decision()
-                .and(Err(NonSilentReason::NoLoadPort))
-        });
-        match decision {
+        match hooks.store_dequeue_decision(head.ss) {
             Ok(()) => {
                 st.sq.pop_front();
                 st.last_progress_cycle = cycle;

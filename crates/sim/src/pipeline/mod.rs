@@ -1,7 +1,7 @@
 //! The decomposed out-of-order pipeline: one module per stage.
 //!
 //! The monolithic `Machine::step` is split into stage modules, each
-//! implementing [`PipelineStage`] over the shared [`PipelineState`]:
+//! with one `tick` function over the shared [`PipelineState`]:
 //!
 //! ```text
 //!   fetch ─→ rename/dispatch ─→ issue ─→ execute ─→ lsq ─→ commit
@@ -18,8 +18,8 @@
 //! [`PipelineState`] — and report cross-cutting observations
 //! (statistics, trace, DMP patterns) by emitting
 //! [`crate::event::SimEvent`]s on the state's [`EventBus`]. Optimization
-//! behavior is injected through [`crate::opt::hook::Hooks`], so the
-//! baseline stages contain no per-optimization branches.
+//! behavior reaches them only through [`crate::opt::hook::Hooks`], so
+//! the baseline stages contain no per-optimization branches.
 
 use std::collections::VecDeque;
 
@@ -32,66 +32,21 @@ use crate::mem::hierarchy::Hierarchy;
 use crate::mem::memory::{MemFault, Memory};
 use crate::opt::bpred::{Bimodal, Btb};
 use crate::opt::comp_simpl::SimplEvent;
-use crate::opt::hook::Hooks;
 use crate::opt::silent_store::SsState;
 
-pub mod commit;
-pub mod execute;
-pub mod fetch;
-pub mod issue;
-pub mod lsq;
-pub mod rename;
-pub mod squash;
+pub(crate) mod commit;
+pub(crate) mod execute;
+pub(crate) mod fetch;
+pub(crate) mod issue;
+pub(crate) mod lsq;
+pub(crate) mod rename;
+pub(crate) mod squash;
 
 #[cfg(test)]
 mod tests;
 
-pub use commit::CommitStage;
-pub use execute::ExecuteStage;
-pub use fetch::FetchStage;
-pub use issue::IssueStage;
-pub use lsq::LsqStage;
-pub use rename::RenameStage;
-
 pub(crate) type Seq = u64;
 pub(crate) type PTag = u32;
-
-/// One stage of the pipeline, ticked once per cycle by
-/// [`crate::Machine::step`].
-///
-/// Stages are stateless schedulers over [`PipelineState`]; optimization
-/// behavior reaches them only through the [`Hooks`] argument, and all
-/// observation leaves them only as [`crate::event::SimEvent`]s.
-pub trait PipelineStage {
-    /// A short stable name for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Advances this stage by one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the stage detects an abnormal
-    /// condition (committed memory fault, broken invariant, exhausted
-    /// resource); the machine stops cleanly instead of panicking.
-    fn tick(&mut self, st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError>;
-}
-
-/// The six stage instances [`crate::Machine`] drives each cycle.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Stages {
-    /// In-order commit (retires, trains prefetch hooks, frees tags).
-    pub commit: CommitStage,
-    /// Load/store-queue upkeep: SS-load resolution + store dequeue.
-    pub lsq: LsqStage,
-    /// Writeback / completion and control-flow verification.
-    pub execute: ExecuteStage,
-    /// Port-constrained selection of ready uops.
-    pub issue: IssueStage,
-    /// Rename and dispatch from the fetch buffer into the backend.
-    pub rename: RenameStage,
-    /// In-order fetch with branch prediction.
-    pub fetch: FetchStage,
-}
 
 /// Classification of an instruction for dispatch-time bookkeeping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -213,11 +168,9 @@ pub(crate) struct SqEntry {
 /// (fetch buffer, rename tables, ROB, load/store queues), and the
 /// [`EventBus`] all observation flows through.
 ///
-/// Stage modules and optimization hooks share this one struct; its
-/// fields are crate-internal, so outside the crate it is an opaque
-/// handle whose event bus is readable via [`PipelineState::bus`].
+/// Stage modules and optimization hooks share this one struct.
 #[derive(Clone, Debug)]
-pub struct PipelineState {
+pub(crate) struct PipelineState {
     pub(crate) cfg: SimConfig,
     pub(crate) prog: Program,
     pub(crate) mem: Memory,
@@ -436,18 +389,6 @@ impl PipelineState {
         self.store_resolve_scratch.clone_from(store_resolve_scratch);
         self.exec_wakeup = *exec_wakeup;
         self.last_progress_cycle = *last_progress_cycle;
-    }
-
-    /// The current cycle (for hooks that need timing context).
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The event bus (read side: stats, trace, patterns).
-    #[must_use]
-    pub fn bus(&self) -> &EventBus {
-        &self.bus
     }
 
     // ---- Register tag plumbing ---------------------------------------

@@ -137,8 +137,9 @@ impl Trace {
     /// Capacity-preserving restore: the event log rewinds to `src`'s
     /// contents without giving up its buffer.
     pub(crate) fn restore_from(&mut self, src: &Trace) {
-        self.events.clone_from(&src.events);
-        self.enabled = src.enabled;
+        let Trace { events, enabled } = src;
+        self.events.clone_from(events);
+        self.enabled = *enabled;
     }
 
     /// Creates a disabled (zero-cost) trace.

@@ -9,18 +9,20 @@
 //! Vecs and tag-snapshot collects that used to dominate the profile
 //! are gone, and nothing reintroduces them silently.
 //!
-//! One `#[test]` runs five legs serially: the quiet and noisy fig. 5
-//! configurations, a [`Machine::reset`] + re-warm leg, a
+//! One `#[test]` runs six legs serially: the quiet and noisy fig. 5
+//! configurations, a [`Machine::reset`] + re-warm leg, a reset leg
+//! with learned optimization state and a pending fault plan, a
 //! [`Machine::restore`] leg with no re-warm, and a fleet leg that
 //! steps pooled trials at one thread. The allocator is process-global,
 //! so splitting the measurements into separate `#[test]` functions
 //! would let the harness interleave them on different threads and
-//! misattribute counts. The reset leg pins the other half of the
+//! misattribute counts. The reset legs pin the other half of the
 //! hot-loop contract — rewinding a machine for another calibration
 //! trial neither allocates nor frees the buffers the steady state
-//! depends on. The restore leg pins that a checkpoint carries those
-//! buffers' high-water marks, and the fleet leg that stepping inside a
-//! pooled trial allocates nothing.
+//! depends on, and clears the reuse memos, value predictor and DMP
+//! tables in place. The restore leg pins that a checkpoint carries
+//! those buffers' high-water marks, and the fleet leg that stepping
+//! inside a pooled trial allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +35,7 @@ use pandora_bench::perf::{
 };
 use pandora_isa::{Asm, Reg};
 use pandora_sim::fleet::{self, MachinePool};
-use pandora_sim::{Machine, MemberSpec, SimConfig};
+use pandora_sim::{FaultKind, FaultPlan, Machine, MemberSpec, OptConfig, SimConfig};
 
 /// System allocator wrapper that counts every allocation event.
 /// Deallocations are deliberately not counted: freeing during
@@ -129,12 +131,41 @@ fn steady_state_step_is_allocation_free() {
          steady-state steps — reset must keep the hot loop's buffers at their high-water mark"
     );
 
+    // Learned-state reset leg: the reset above rewinds only silent
+    // stores and noise. With the learning classes on and warmed, and a
+    // fault plan pending, the reset must still clear every table in
+    // place and drop the plan without allocating.
+    let mut learned = fig5_step_machine(SimConfig {
+        opts: OptConfig {
+            silent_stores: true,
+            comp_reuse: true,
+            value_pred: true,
+            dmp: true,
+            cdp: true,
+            ..OptConfig::default()
+        },
+        ..fig5_noisy_config()
+    });
+    warmup(&mut learned, QUIET_WARMUP_STEPS);
+    learned.inject_faults(FaultPlan::single(
+        learned.cycle() + 1_000_000,
+        FaultKind::SpuriousSquash,
+    ));
+    let before_learned_reset = allocs_now();
+    learned.reset();
+    let learned_reset_allocs = allocs_now() - before_learned_reset;
+    assert_eq!(
+        learned_reset_allocs, 0,
+        "Machine::reset() with learned state allocated {learned_reset_allocs} times; it must \
+         clear the optimization tables in place"
+    );
+
     // Restore leg: `Machine::restore` rewinds to a mid-run checkpoint
     // with `clone_from` semantics — every state buffer is reused in
     // place at its captured capacity. Taking the snapshot and the
     // restore itself may allocate (a checkpoint is a deep clone, and
-    // restore re-clones the hook boxes); what must NOT allocate is the
-    // steady state afterwards, with *zero* re-warm steps: the
+    // restore clones the optimization tables); what must NOT allocate
+    // is the steady state afterwards, with *zero* re-warm steps: the
     // checkpoint captured the high-water marks, so the hot loop resumes
     // allocation-free from the first post-restore step.
     let ck = noisy_machine.snapshot();
