@@ -20,10 +20,9 @@
 //!   timing oracles (§IV-B).
 //! * [`stateful`] — the equality-oracle replay attacks on computation
 //!   reuse, value prediction, and register-file compression (§IV-C,
-//!   §IV-D1).
-//! * [`replay`] — the §IV-C4 width-chunked replay framework: one byte
-//!   of a 64-bit word recovered through byte-granular silent stores in
-//!   ≤ 2^8 experiments.
+//!   §IV-D1), including §IV-C4's width-chunked replay: one byte
+//!   recovered in ≤ 2^8 queries
+//!   ([`recover_byte_by_replay`](stateful::recover_byte_by_replay)).
 //! * [`defense`] — measured §VI-A retrofits: MSB-OR vs compression,
 //!   Sn keying vs reuse, targeted clearing vs silent stores.
 
@@ -31,7 +30,6 @@ pub mod amplify;
 pub mod bsaes;
 pub mod defense;
 pub mod dmp;
-pub mod replay;
 pub mod stateful;
 pub mod stateless;
 pub mod util;

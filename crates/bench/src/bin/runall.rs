@@ -15,7 +15,6 @@
 use std::process::ExitCode;
 
 use pandora_bench::experiments::{registry, with_selftests, DEFAULT_SEED};
-use pandora_channels::RetryPolicy;
 use pandora_runner::{run_suite, ChaosPlan, Profile, SuiteOptions};
 
 /// Decorrelates the chaos plan from the experiment seed, so `--chaos`
@@ -113,10 +112,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--retries" => {
                 let v = value(&mut it, "--retries")?;
-                opts.retry = RetryPolicy {
-                    max_attempts: v.parse().map_err(|_| format!("bad --retries value {v:?}"))?,
-                    ..RetryPolicy::default()
-                };
+                opts.max_attempts = v
+                    .parse()
+                    .map_err(|_| format!("bad --retries value {v:?}"))?;
             }
             "--deadline-secs" => {
                 let v = value(&mut it, "--deadline-secs")?;

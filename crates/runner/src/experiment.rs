@@ -4,10 +4,10 @@
 //!
 //! Experiment bodies never print to stdout and never touch the
 //! filesystem: all output goes through [`Ctx`] into an in-memory
-//! report that the caller (the `runall` orchestrator or a standalone
-//! bench bin) publishes atomically. Because the buffer lives behind an
-//! [`Arc`], whatever an experiment wrote before a panic or a deadline
-//! overrun is still available to be recorded as a partial result.
+//! report that the orchestrator publishes atomically. Because the
+//! buffer lives behind an [`Arc`], whatever an experiment wrote before
+//! a panic or a deadline overrun is still available to be recorded as
+//! a partial result.
 
 use std::fmt::{self, Display};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -80,31 +80,33 @@ impl<E: std::error::Error> From<E> for Failure {
 }
 
 /// The handle an experiment body receives: output sink, profile/seed
-/// parameters, extra standalone options and the fleet thread count.
+/// parameters, pass-through flags and the fleet thread count.
 /// Deadlines are the supervisor's business, not the body's: a wedged
 /// attempt is abandoned from outside, never asked to stop.
 ///
 /// Cloning a `Ctx` clones the *handle*; all clones share one output
-/// buffer (that is how the executor snapshots partial output after a
+/// buffer (that is how the supervisor salvages partial output after a
 /// panic or a deadline overrun).
 #[derive(Clone)]
 pub struct Ctx {
     profile: Profile,
     seed: u64,
-    opts: Vec<String>,
+    args: Vec<String>,
     fleet_threads: usize,
     out: Arc<Mutex<String>>,
 }
 
 impl Ctx {
-    /// A context for one run of an experiment. `opts` are extra
-    /// pass-through flags from a standalone bin (e.g. `--full-slice`).
+    /// A context for one run of an experiment. `args` are the run's
+    /// pass-through flags, [`SuiteOptions::args`](crate::SuiteOptions::args):
+    /// empty under `runall`, and whatever experiment-specific flags
+    /// (e.g. `--full-slice`) a bench bin was given.
     #[must_use]
-    pub fn new(profile: Profile, seed: u64, opts: Vec<String>) -> Ctx {
+    pub fn new(profile: Profile, seed: u64, args: Vec<String>) -> Ctx {
         Ctx {
             profile,
             seed,
-            opts,
+            args,
             fleet_threads: 0,
             out: Arc::new(Mutex::new(String::new())),
         }
@@ -145,11 +147,10 @@ impl Ctx {
         self.seed
     }
 
-    /// Whether a standalone pass-through flag (e.g. `"--full-slice"`)
-    /// was given.
+    /// Whether a pass-through flag (e.g. `"--full-slice"`) was given.
     #[must_use]
     pub fn has_opt(&self, flag: &str) -> bool {
-        self.opts.iter().any(|o| o == flag)
+        self.args.iter().any(|o| o == flag)
     }
 
     fn buffer(&self) -> MutexGuard<'_, String> {

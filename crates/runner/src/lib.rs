@@ -11,13 +11,15 @@
 //!   and e-experiment registered under a stable name with a *smoke* and
 //!   a *full* [`Profile`], a per-experiment wall-clock deadline, and a
 //!   configuration fingerprint.
-//! * **Orchestration** ([`run_suite`]) — a thread pool with
+//! * **Orchestration** ([`run_suite`]) — a supervised thread pool with
 //!   per-experiment deadlines (the job-level analogue of the
 //!   simulator's `SimConfig::watchdog_cycles`), panic isolation via
 //!   `catch_unwind` (one wedged or crashing experiment degrades to a
-//!   recorded partial result instead of aborting the suite), and
-//!   retry-with-backoff through
-//!   [`pandora_channels::retry::RetryPolicy`].
+//!   recorded partial result instead of aborting the suite), and up
+//!   to [`SuiteOptions::max_attempts`] attempts per experiment. It is
+//!   the only way an experiment runs: `runall` runs the whole suite
+//!   through it, and each per-figure bench bin runs its one
+//!   experiment through it.
 //! * **Checkpoint/resume** ([`Journal`], [`Manifest`]) — each completed
 //!   experiment is journaled with an fsynced append; a restarted run
 //!   (`runall --resume`) skips completed experiments, refuses to mix
@@ -26,8 +28,10 @@
 //! * **Crash-safe output** ([`atomic_write`]) — `results/*.txt` and
 //!   `results/summary.json` are published by temp-file + rename +
 //!   fsync, so a killed process never leaves a truncated file.
-//! * **Partial results** ([`partial_results`]) — the shared standalone
-//!   exit protocol every bench bin uses.
+//! * **Partial results** — a failed, panicked or wedged experiment's
+//!   `<name>.txt` keeps what it printed and ends with a
+//!   `[pandora-runner] PARTIAL RESULTS: <reason>` line, whether
+//!   `runall` or a bench bin ran it.
 //! * **Chaos** ([`chaos`]) — a deterministic, seeded fail-point layer
 //!   every journal/publish I/O operation is routed through, so storage
 //!   faults (ENOSPC, failed fsyncs/renames, short writes) and simulated
@@ -50,7 +54,6 @@ pub mod journal;
 pub mod json;
 pub mod orchestrator;
 pub mod output;
-pub mod partial_results;
 pub mod registry;
 
 #[doc(hidden)]
@@ -60,8 +63,7 @@ pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan, ChaosStats};
 pub use experiment::{Ctx, Experiment, Failure, Profile, RunFn};
 pub use journal::{Journal, JournalEntry, Manifest};
 pub use orchestrator::{
-    execute, run_suite, ExecOutcome, ExperimentReport, Status, SuiteError, SuiteHealth,
-    SuiteOptions, SuiteReport,
+    run_suite, ExperimentReport, Status, SuiteError, SuiteHealth, SuiteOptions, SuiteReport,
 };
 pub use error::RunnerError;
 pub use output::{atomic_write, clean_stale_tmp, fnv1a64, hash_str, scan_dir};

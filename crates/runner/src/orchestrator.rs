@@ -3,6 +3,10 @@
 //! circuit breakers, checkpoint/resume, and graceful storage
 //! degradation, publishing crash-safe results.
 //!
+//! [`run_suite`] is the one way an experiment runs: `runall`, the
+//! benchmark's `suite` workload and every per-figure bin (one
+//! experiment, one attempt, into a scratch directory) all go through it.
+//!
 //! Failure containment mirrors the simulator's own philosophy
 //! ("failures are data, not aborts", DESIGN.md §6) one level up:
 //!
@@ -35,27 +39,29 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use pandora_channels::RetryPolicy;
-
 use crate::breaker::Breaker;
 use crate::chaos::{self, ChaosPlan};
-use crate::experiment::{Ctx, Experiment, Failure, Profile};
+use crate::experiment::{Ctx, Experiment, Profile};
 use crate::journal::{Journal, JournalEntry, Manifest};
 use crate::json::{obj, Json};
 use crate::output::{atomic_write, hash_str};
 use crate::registry::Registry;
 
-/// Supervisor housekeeping cadence (wedge scan, respawns, admission).
+/// Supervisor housekeeping cadence (wedge scan, respawns).
 const SUPERVISOR_TICK: Duration = Duration::from_millis(25);
 
 /// Slack past the deadline before the supervisor declares a worker
 /// wedged — covers an experiment that finishes *at* its deadline plus
 /// event-delivery latency.
 const WEDGE_GRACE: Duration = Duration::from_millis(150);
+
+/// Delay before the first replacement worker spawns; doubles per
+/// restart already used.
+const RESTART_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Final status of one experiment in a suite run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -146,9 +152,6 @@ pub struct SuiteHealth {
     pub workers_abandoned: u32,
     /// Names of experiments whose circuit breaker is open at suite end.
     pub breakers_open: Vec<String>,
-    /// Ticks on which the bounded job queue was full and admission of
-    /// the next job was deferred.
-    pub admission_deferrals: u64,
     /// Whether a journal I/O failure disabled checkpointing mid-run
     /// (the run completed, but `--resume` will re-run its experiments).
     pub journal_degraded: bool,
@@ -244,7 +247,6 @@ impl SuiteReport {
                         "breakers_open",
                         Json::Arr(h.breakers_open.iter().map(|n| Json::from(n.as_str())).collect()),
                     ),
-                    ("admission_deferrals", Json::from(h.admission_deferrals)),
                     ("journal_degraded", Json::Bool(h.journal_degraded)),
                     ("publish_failures", Json::from(u64::from(h.publish_failures))),
                     ("faults_injected", Json::from(h.faults_injected)),
@@ -306,15 +308,18 @@ pub struct SuiteOptions {
     /// On resume, how many journaled-complete experiments to re-run and
     /// compare byte-for-byte (determinism re-verification).
     pub reverify: usize,
-    /// Retry policy for failed/panicked attempts (`max_attempts`
-    /// bounds total attempts; deadline overruns are never retried).
-    pub retry: RetryPolicy,
+    /// Attempts per experiment for failures and panics (values below 1
+    /// behave as 1); deadline overruns are never retried.
+    pub max_attempts: u32,
     /// Suite seed recorded in the manifest and handed to experiments.
     pub seed: u64,
     /// Override every experiment's own deadline (mainly for tests).
     pub deadline_override: Option<Duration>,
     /// Print one progress line per experiment to stdout.
     pub progress: bool,
+    /// Pass-through flags handed to every experiment's [`Ctx`] (read
+    /// with [`Ctx::has_opt`]), such as e9's `--full-slice`.
+    pub args: Vec<String>,
     /// Storage fault plan to install for the run (`None` = no chaos).
     /// Installing even an empty plan turns on I/O accounting in
     /// [`SuiteHealth`].
@@ -325,13 +330,6 @@ pub struct SuiteOptions {
     pub breaker_threshold: u32,
     /// Replacement workers the supervisor may spawn after wedges.
     pub max_worker_restarts: u32,
-    /// Base delay before a replacement worker spawns; doubles per
-    /// restart already used.
-    pub restart_backoff: Duration,
-    /// Bounded job-queue capacity (`None` = twice the worker count).
-    /// Jobs beyond capacity wait in the supervisor under admission
-    /// control.
-    pub queue_capacity: Option<usize>,
     /// When a resume is refused (missing/corrupt manifest or journal),
     /// fall back to a fresh run instead of erroring. Used by crash
     /// recovery, where a kill may predate the manifest.
@@ -348,18 +346,14 @@ impl Default for SuiteOptions {
             only: None,
             resume: false,
             reverify: 1,
-            retry: RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            },
+            max_attempts: 2,
             seed: 0,
             deadline_override: None,
             progress: false,
+            args: Vec::new(),
             chaos: None,
             breaker_threshold: 3,
             max_worker_restarts: 4,
-            restart_backoff: Duration::from_millis(50),
-            queue_capacity: None,
             resume_fallback: false,
         }
     }
@@ -397,28 +391,19 @@ impl From<io::Error> for SuiteError {
     }
 }
 
-/// Result of one isolated attempt at an experiment.
+/// Outcome of one job (after retries): status plus the captured
+/// output snapshot.
 #[derive(Debug)]
-enum AttemptResult {
-    Ok,
-    Failed(Failure),
-    Panicked(String),
-    TimedOut(Duration),
-}
-
-/// Outcome of executing one experiment (after retries): status plus
-/// the captured output snapshot.
-#[derive(Debug)]
-pub struct ExecOutcome {
+struct ExecOutcome {
     /// Final status (never [`Status::Failed`]: execution failures
-    /// degrade to partial; only the orchestrator escalates).
-    pub status: Status,
+    /// degrade to partial; only a reverify escalates).
+    status: Status,
     /// Everything the experiment wrote, possibly partial.
-    pub output: String,
+    output: String,
     /// Wall time across all attempts.
-    pub wall: Duration,
+    wall: Duration,
     /// Retries consumed.
-    pub retries: u32,
+    retries: u32,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -431,109 +416,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of `exp` on its own thread, catching panics and
-/// abandoning the thread if `deadline` expires first.
-fn attempt(exp: &Experiment, ctx: &Ctx, deadline: Duration) -> AttemptResult {
-    let (tx, rx) = mpsc::channel();
-    let run = exp.run;
-    let thread_ctx = ctx.clone();
-    let spawned = thread::Builder::new()
-        .name(format!("pandora-exp-{}", exp.name))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| run(&thread_ctx)));
-            // The receiver may have given up on us (deadline); a send
-            // failure is then expected and irrelevant.
-            let _ = tx.send(result);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(e) => return AttemptResult::Failed(Failure::new(format!("spawn failed: {e}"))),
-    };
-    match rx.recv_timeout(deadline) {
-        Ok(Ok(Ok(()))) => {
-            let _ = handle.join();
-            AttemptResult::Ok
-        }
-        Ok(Ok(Err(failure))) => {
-            let _ = handle.join();
-            AttemptResult::Failed(failure)
-        }
-        Ok(Err(payload)) => {
-            let _ = handle.join();
-            AttemptResult::Panicked(panic_message(payload.as_ref()))
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            // The experiment is wedged. Threads cannot be killed; the
-            // attempt is abandoned (it keeps running detached until
-            // process exit) and recorded as a partial failure.
-            drop(handle);
-            AttemptResult::TimedOut(deadline)
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            AttemptResult::Panicked("experiment thread vanished".to_string())
-        }
-    }
-}
-
-/// Executes `exp` with panic isolation, a per-attempt deadline, and
-/// bounded retries under `policy`. Deadline overruns are not retried
-/// (a wedge would almost certainly wedge again and cost another full
-/// deadline); failures and panics are, on the fault model that
-/// disturbances are transient.
-///
-/// This is the *standalone* execution path (used by
-/// [`partial_results`](crate::partial_results) and the per-figure
-/// bins); [`run_suite`] supervises its workers directly instead.
-#[must_use]
-pub fn execute(
-    exp: &Experiment,
-    profile: Profile,
-    seed: u64,
-    opts: &[String],
-    deadline: Duration,
-    policy: &RetryPolicy,
-) -> ExecOutcome {
-    let attempts = policy.max_attempts.max(1);
-    let start = Instant::now();
-    let mut last: Option<AttemptResult> = None;
-    let mut used: u32 = 0;
-    let mut output = String::new();
-    for i in 0..attempts {
-        let ctx = Ctx::new(profile, seed, opts.to_vec());
-        used = i + 1;
-        let result = attempt(exp, &ctx, deadline);
-        output = ctx.output();
-        let timed_out = matches!(result, AttemptResult::TimedOut(_));
-        last = Some(result);
-        if matches!(last, Some(AttemptResult::Ok)) || timed_out {
-            break;
-        }
-    }
-    let wall = start.elapsed();
-    let retries = used.saturating_sub(1);
-    let status = match last.expect("at least one attempt ran") {
-        AttemptResult::Ok => Status::Ok,
-        AttemptResult::Failed(f) => Status::Partial {
-            reason: format!("failed after {used} attempt(s): {f}"),
-        },
-        AttemptResult::Panicked(msg) => Status::Partial {
-            reason: format!("panicked after {used} attempt(s): {msg}"),
-        },
-        AttemptResult::TimedOut(d) => Status::Partial {
-            reason: format!(
-                "deadline of {:.1}s exceeded on attempt {used} (wedged; thread abandoned)",
-                d.as_secs_f64()
-            ),
-        },
-    };
-    ExecOutcome {
-        status,
-        output,
-        wall,
-        retries,
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum JobKind {
     Run,
@@ -542,58 +424,20 @@ enum JobKind {
 
 type Job = (usize, JobKind);
 
-/// Bounded MPMC job queue: the supervisor pushes under admission
-/// control, workers block-pop, `close` wakes everyone for shutdown.
-struct JobQueue {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-    capacity: usize,
-}
+/// The jobs no worker has taken yet. Every job is queued before the
+/// first worker starts, so a worker that finds the queue empty is done.
+struct JobQueue(Mutex<VecDeque<Job>>);
 
 impl JobQueue {
-    fn new(capacity: usize) -> JobQueue {
-        JobQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Push unless full or closed; `true` on success.
-    fn try_push(&self, job: Job) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if state.1 || state.0.len() >= self.capacity {
-            return false;
-        }
-        state.0.push_back(job);
-        self.cv.notify_one();
-        true
-    }
-
-    /// Blocks for the next job; `None` once closed and drained.
-    fn pop_blocking(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.cv.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
+    /// The next job; `None` once the queue is empty.
+    fn pop(&self) -> Option<Job> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner()).pop_front()
     }
 
     /// Removes and returns everything still queued.
     fn drain(&self) -> Vec<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        state.0.drain(..).collect()
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        state.1 = true;
-        self.cv.notify_all();
+        let mut jobs = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        jobs.drain(..).collect()
     }
 }
 
@@ -643,7 +487,7 @@ enum Event {
         kind: JobKind,
         outcome: ExecOutcome,
     },
-    /// A worker's loop ended (queue closed, or abandoned flag seen).
+    /// A worker's loop ended (queue empty, or abandoned flag seen).
     WorkerExited { worker: usize },
 }
 
@@ -652,7 +496,8 @@ struct WorkerCfg {
     profile: Profile,
     seed: u64,
     deadline_override: Option<Duration>,
-    retry: RetryPolicy,
+    max_attempts: u32,
+    args: Vec<String>,
     breaker_threshold: u32,
     fleet_threads: usize,
 }
@@ -673,7 +518,7 @@ struct Slot {
 }
 
 /// Spawns a detached worker thread running jobs from `queue` until the
-/// queue closes or its `alive` flag is cleared. Returns the flag, or
+/// queue is empty or its `alive` flag is cleared. Returns the flag, or
 /// `None` if the OS refused the thread.
 fn spawn_worker(
     id: usize,
@@ -716,12 +561,12 @@ fn worker_loop(
         if !alive.load(Ordering::Relaxed) {
             return;
         }
-        let Some((index, kind)) = queue.pop_blocking() else {
+        let Some((index, kind)) = queue.pop() else {
             return;
         };
         let exp = &exps[index];
         let deadline = cfg.deadline_override.unwrap_or(exp.deadline);
-        let attempts = cfg.retry.max_attempts.max(1);
+        let attempts = cfg.max_attempts.max(1);
         let start = Instant::now();
         let mut status: Option<Status> = None;
         let mut used: u32 = 0;
@@ -731,8 +576,8 @@ fn worker_loop(
                 status = Some(Status::Degraded { reason });
                 break;
             }
-            let ctx =
-                Ctx::new(cfg.profile, cfg.seed, Vec::new()).with_fleet_threads(cfg.fleet_threads);
+            let ctx = Ctx::new(cfg.profile, cfg.seed, cfg.args.clone())
+                .with_fleet_threads(cfg.fleet_threads);
             used = i + 1;
             let _ = tx.send(Event::AttemptStarted {
                 worker: id,
@@ -968,9 +813,8 @@ fn record_outcome(
 /// Worker threads are *supervised*: a wedged worker is abandoned and
 /// replaced under [`SuiteOptions::max_worker_restarts`] with doubling
 /// backoff; repeated panic/deadline failures open a per-experiment
-/// circuit breaker ([`Status::Degraded`]); job admission is bounded by
-/// [`SuiteOptions::queue_capacity`]. Storage faults degrade the run
-/// (see [`SuiteHealth`]) rather than aborting it.
+/// circuit breaker ([`Status::Degraded`]). Storage faults degrade the
+/// run (see [`SuiteHealth`]) rather than aborting it.
 ///
 /// # Errors
 ///
@@ -1174,14 +1018,14 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
     Ok(report)
 }
 
-/// The supervisor loop: admit jobs under the queue bound, watch for
+/// The supervisor loop: queue every job, start the pool, watch for
 /// wedges, respawn workers under the restart budget, and record every
 /// outcome until all `to_run` jobs are accounted for.
 #[allow(clippy::too_many_arguments)]
 fn supervise(
     exps: &Arc<Vec<Experiment>>,
     breakers: &Arc<Breakers>,
-    mut pending: VecDeque<Job>,
+    pending: VecDeque<Job>,
     to_run: usize,
     workers_planned: usize,
     opts: &SuiteOptions,
@@ -1189,14 +1033,14 @@ fn supervise(
     health: &mut SuiteHealth,
     reports: &mut [Option<ExperimentReport>],
 ) -> Result<(), SuiteError> {
-    let capacity = opts.queue_capacity.unwrap_or(workers_planned * 2).max(1);
-    let queue = Arc::new(JobQueue::new(capacity));
+    let queue = Arc::new(JobQueue(Mutex::new(pending)));
     let (tx, rx) = mpsc::channel::<Event>();
     let cfg = WorkerCfg {
         profile: opts.profile,
         seed: opts.seed,
         deadline_override: opts.deadline_override,
-        retry: opts.retry,
+        max_attempts: opts.max_attempts,
+        args: opts.args.clone(),
         breaker_threshold: opts.breaker_threshold,
         fleet_threads: opts.fleet_threads,
     };
@@ -1208,10 +1052,6 @@ fn supervise(
     let mut restarts_scheduled: u32 = 0;
     let mut next_worker_id = 0usize;
 
-    // Initial admission, then the initial pool.
-    admit(
-        &queue, &mut pending, exps, breakers, opts, journal, health, reports, &mut done, to_run,
-    )?;
     for _ in 0..workers_planned {
         let id = next_worker_id;
         next_worker_id += 1;
@@ -1345,7 +1185,7 @@ fn supervise(
                 exp, info.index, info.kind, &outcome, opts, journal, health, reports, done, to_run,
             )?;
             if restarts_scheduled < opts.max_worker_restarts {
-                let backoff = opts.restart_backoff * 2u32.saturating_pow(restarts_scheduled.min(10));
+                let backoff = RESTART_BACKOFF * 2u32.saturating_pow(restarts_scheduled.min(10));
                 respawn_at.push(now + backoff);
                 restarts_scheduled += 1;
             } else if opts.progress {
@@ -1379,18 +1219,11 @@ fn supervise(
             }
         }
 
-        // 4. Admission: refill the bounded queue.
-        admit(
-            &queue, &mut pending, exps, breakers, opts, journal, health, reports, &mut done, to_run,
-        )?;
-
-        // 5. Pool exhaustion: no live workers, none coming — drain the
+        // 4. Pool exhaustion: no live workers, none coming — drain the
         // rest of the suite as degraded rather than hanging.
         let active = workers.values().filter(|s| !s.abandoned).count();
         if done < to_run && active == 0 && respawn_at.is_empty() {
-            let mut leftovers = queue.drain();
-            leftovers.extend(pending.drain(..));
-            for (index, kind) in leftovers {
+            for (index, kind) in queue.drain() {
                 let outcome = ExecOutcome {
                     status: Status::Degraded {
                         reason: "worker pool exhausted: wedged workers exceeded the \
@@ -1407,49 +1240,6 @@ fn supervise(
                     to_run,
                 )?;
             }
-        }
-    }
-    queue.close();
-    Ok(())
-}
-
-/// Moves pending jobs into the bounded queue; a job whose breaker is
-/// already open is recorded as degraded without ever being queued.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    queue: &Arc<JobQueue>,
-    pending: &mut VecDeque<Job>,
-    exps: &Arc<Vec<Experiment>>,
-    breakers: &Arc<Breakers>,
-    opts: &SuiteOptions,
-    journal: &mut Option<Journal>,
-    health: &mut SuiteHealth,
-    reports: &mut [Option<ExperimentReport>],
-    done: &mut usize,
-    to_run: usize,
-) -> Result<(), SuiteError> {
-    while let Some(&(index, kind)) = pending.front() {
-        if let Some(reason) = breaker_open_reason(breakers, index, opts.breaker_threshold) {
-            pending.pop_front();
-            let outcome = ExecOutcome {
-                status: Status::Degraded {
-                    reason: format!("skipped at admission: {reason}"),
-                },
-                output: String::new(),
-                wall: Duration::ZERO,
-                retries: 0,
-            };
-            *done += 1;
-            record_outcome(
-                &exps[index], index, kind, &outcome, opts, journal, health, reports, *done, to_run,
-            )?;
-            continue;
-        }
-        if queue.try_push((index, kind)) {
-            pending.pop_front();
-        } else {
-            health.admission_deferrals += 1;
-            break;
         }
     }
     Ok(())

@@ -183,6 +183,23 @@ fn silent_store_detected_and_skipped() {
     assert_eq!(m.stats().silent_stores, 1);
     assert_eq!(m.stats().performed_stores, 1);
     assert_eq!(m.mem().read_u64(512).unwrap(), 42);
+
+    // A byte store inside a word is silent iff it writes the byte
+    // already at its offset (the width-chunked replay of §IV-C4).
+    let word = 0x1122_3344_5566_77A9_u64;
+    for offset in [0, 7] {
+        let m = run_prog(cfg, |a| {
+            a.li(Reg::T0, word);
+            a.sd(Reg::T0, Reg::ZERO, 512);
+            a.fence();
+            a.li(Reg::T1, u64::from(word.to_le_bytes()[offset]));
+            a.sb(Reg::T1, Reg::ZERO, 512 + offset as i64); // same byte: silent
+            a.fence();
+        });
+        assert_eq!(m.stats().silent_stores, 1, "byte offset {offset}");
+        assert_eq!(m.stats().performed_stores, 1, "byte offset {offset}");
+        assert_eq!(m.mem().read_u64(512).unwrap(), word);
+    }
 }
 
 #[test]
@@ -198,6 +215,25 @@ fn non_silent_store_performs() {
     });
     assert_eq!(m.stats().silent_stores, 0);
     assert_eq!(m.mem().read_u64(512).unwrap(), 43);
+
+    // A byte store that changes its byte performs, and leaves the other
+    // seven bytes of the word alone.
+    let word = 0x1122_3344_5566_77A9_u64;
+    for offset in [0, 7] {
+        let mut bytes = word.to_le_bytes();
+        bytes[offset] ^= 0x01;
+        let m = run_prog(cfg, |a| {
+            a.li(Reg::T0, word);
+            a.sd(Reg::T0, Reg::ZERO, 512);
+            a.fence();
+            a.li(Reg::T1, u64::from(bytes[offset]));
+            a.sb(Reg::T1, Reg::ZERO, 512 + offset as i64); // different byte
+            a.fence();
+        });
+        assert_eq!(m.stats().silent_stores, 0, "byte offset {offset}");
+        assert_eq!(m.stats().performed_stores, 2, "byte offset {offset}");
+        assert_eq!(m.mem().read_u64(512).unwrap(), u64::from_le_bytes(bytes));
+    }
 }
 
 #[test]
