@@ -8,9 +8,15 @@
 //! chases values earlier calls left at rest. A scan therefore models
 //! the repeated-call scenario directly:
 //!
-//! 1. **Reference run** — the victim runs from a cold machine with
-//!    secret *A* in place; its final memory image is captured. This is
-//!    "the previous call" in the paper's shared-stack setting (§V-A3).
+//! 1. **Reference run** — the victim runs once with secret *A* in
+//!    place; its final memory image is captured. This is "the previous
+//!    call" in the paper's shared-stack setting (§V-A3). The image is
+//!    architectural, so one functional [`Emulator`] run per scan makes
+//!    it for every class and trial (`tests/differential_sim.rs` holds
+//!    the emulator bit-equal to the pipeline). A victim that reads the
+//!    cycle counter instead gets a cold pipeline reference run per
+//!    class and trial, because the emulator's `rdcycle` counts
+//!    instructions, not cycles.
 //! 2. **AA run** — a cold machine whose memory is preconditioned with
 //!    the reference image runs the victim with secret *A* again.
 //! 3. **AB run** — identical, but the secret region holds *B*.
@@ -27,15 +33,19 @@
 //! over total trials — bits per victim invocation for an attacker using
 //! this receiver.
 //!
-//! Every run is dispatched through [`pandora_sim::fleet::trial_grid`],
-//! so a scan inherits the engine's panic isolation, pooled machines,
-//! and thread-count-invariant determinism.
+//! Every pipeline run is dispatched through
+//! [`pandora_sim::fleet::trial_grid`], so a scan inherits the engine's
+//! panic isolation, pooled machines, and thread-count-invariant
+//! determinism. The functional reference run is not a fleet member: it
+//! runs on the caller's thread before the grid.
 
 use std::sync::Arc;
 
-use pandora_isa::Program;
+use pandora_isa::{Instr, Program};
 use pandora_sim::fleet::{self, MemberSpec};
-use pandora_sim::{Machine, MemberError, OptConfig, SimConfig, SimError};
+use pandora_sim::{
+    EmuError, Emulator, Machine, MemberError, Memory, OptConfig, SimConfig, SimError,
+};
 
 use crate::json::{obj, Json};
 
@@ -51,7 +61,8 @@ pub struct ScanLimits {
     pub max_mem_size: usize,
     /// Maximum trials per scan.
     pub max_trials: u32,
-    /// Maximum simulated cycles per run.
+    /// Maximum simulated cycles per run. It also bounds the functional
+    /// reference run, at `commit_width` instructions per cycle.
     pub max_cycles: u64,
     /// Maximum secret length in bytes.
     pub max_secret_bytes: usize,
@@ -237,7 +248,11 @@ pub struct ScanReport {
     /// One report per scanned class, in [`CLASSES`] order, baseline
     /// first.
     pub classes: Vec<ClassReport>,
-    /// Total simulated runs this scan dispatched.
+    /// Total simulated runs this scan dispatched: 16T + 1 for T trials
+    /// (an AA and an AB pipeline run per class and trial, plus the one
+    /// functional reference run), or 24T when the victim reads the
+    /// cycle counter and each class and trial gets its own pipeline
+    /// reference run.
     pub runs: u32,
     /// Names of classes that leak (convenience; derived from
     /// `classes`).
@@ -294,7 +309,8 @@ pub enum ScanError {
         class: String,
         /// Trial index.
         trial: u32,
-        /// Which phase (`"reference"`, `"aa"`, `"ab"`).
+        /// Which phase (`"reference"`, `"aa"`, `"ab"`). A failing
+        /// functional reference run reports class `baseline`, trial 0.
         phase: &'static str,
         /// The simulator error rendering.
         error: String,
@@ -361,35 +377,31 @@ pub fn run_scan(spec: &ScanSpec, threads: usize) -> Result<ScanReport, ScanError
     let grid = scan_opt_grid();
     let trials = spec.trials.max(1);
 
-    // Job layout: for each (class, trial), one reference run, then
-    // (after the barrier — the images are inputs to phase 2) an AA and
-    // an AB run.
-    let mut ref_jobs = Vec::new();
-    for (_, opts) in &grid {
-        for t in 0..trials {
-            ref_jobs.push(member(spec, *opts, t, Variant::Reference));
-        }
-    }
-    let images = run_phase(&ref_jobs, threads, |m, _| {
-        m.mem()
-            .read_bytes(0, m.config().mem_size)
-            .expect("whole memory readable")
-            .to_vec()
-    })
-    .map_err(|(i, e)| member_error(&grid, trials, i, "reference", e))?;
+    // The reference image of each (class, trial), in job order. The AA
+    // and AB runs come after it: the image is their input.
+    let (images, reference_runs) = if reads_cycle_counter(&spec.program) {
+        let images = pipeline_images(spec, &grid, trials, threads)?;
+        let runs = images.len();
+        (images, runs)
+    } else {
+        (
+            vec![functional_image(spec)?; grid.len() * trials as usize],
+            1,
+        )
+    };
 
+    let secrets: [Arc<[u8]>; 2] = [Arc::from(&spec.secret.a[..]), Arc::from(&spec.secret.b[..])];
     let mut measure_jobs = Vec::new();
     for (ci, (_, opts)) in grid.iter().enumerate() {
         for t in 0..trials {
-            let image = Arc::new(images[ci * trials as usize + t as usize].clone());
-            measure_jobs.push(member_preconditioned(
-                spec,
-                *opts,
-                t,
-                Arc::clone(&image),
-                Variant::Aa,
-            ));
-            measure_jobs.push(member_preconditioned(spec, *opts, t, image, Variant::Ab));
+            let image = &images[ci * trials as usize + t as usize];
+            for secret in &secrets {
+                let regions = vec![
+                    (0, Arc::clone(image)),
+                    (spec.secret.addr, Arc::clone(secret)),
+                ];
+                measure_jobs.push(member(spec, *opts, t, regions));
+            }
         }
     }
     let obs = run_phase(&measure_jobs, threads, |m, cycles| Obs {
@@ -432,62 +444,94 @@ pub fn run_scan(spec: &ScanSpec, threads: usize) -> Result<ScanReport, ScanError
     Ok(ScanReport {
         architectural_leak,
         classes,
-        runs: (ref_jobs.len() + measure_jobs.len()) as u32,
+        runs: (reference_runs + measure_jobs.len()) as u32,
         leaking,
     })
 }
 
-#[derive(Clone, Copy)]
-enum Variant {
-    Reference,
-    Aa,
-    Ab,
+/// Whether the victim reads the cycle counter, the one instruction
+/// whose result the functional emulator does not reproduce: its
+/// `rdcycle` returns an instruction count.
+fn reads_cycle_counter(program: &Program) -> bool {
+    program.iter().any(|i| matches!(i, Instr::RdCycle { .. }))
 }
 
-fn secret_bytes(spec: &ScanSpec, v: Variant) -> Vec<u8> {
-    match v {
-        Variant::Reference | Variant::Aa => spec.secret.a.clone(),
-        Variant::Ab => spec.secret.b.clone(),
-    }
+/// The reference image from one functional run. Its step budget is
+/// `commit_width` instructions per cycle of `max_cycles`, the most a
+/// pipeline run within its cycle budget can commit, so no victim the
+/// pipeline finishes is cut short. A failure is reported where a
+/// failing pipeline reference run is: baseline, trial 0.
+fn functional_image(spec: &ScanSpec) -> Result<Arc<[u8]>, ScanError> {
+    let steps = spec
+        .max_cycles
+        .saturating_mul(SimConfig::default().pipeline.commit_width as u64);
+    let run = || -> Result<Emulator, EmuError> {
+        let mut mem = Memory::new(spec.mem_size);
+        for p in &spec.inputs {
+            mem.write_bytes(p.addr, &p.bytes)?;
+        }
+        mem.write_bytes(spec.secret.addr, &spec.secret.a)?;
+        let mut emu = Emulator::new(mem);
+        emu.run(&spec.program, steps)?;
+        Ok(emu)
+    };
+    let emu = run().map_err(|e| ScanError::Member {
+        class: "baseline".to_string(),
+        trial: 0,
+        phase: "reference",
+        error: format!("functional run failed: {e}"),
+    })?;
+    Ok(Arc::from(
+        emu.mem()
+            .read_bytes(0, spec.mem_size)
+            .expect("whole memory readable"),
+    ))
 }
 
-fn member(spec: &ScanSpec, opts: OptConfig, trial: u32, v: Variant) -> MemberSpec {
-    let inputs = spec.inputs.clone();
-    let secret_addr = spec.secret.addr;
-    let secret = secret_bytes(spec, v);
-    MemberSpec::new(cfg_for(spec, opts, trial), Arc::clone(&spec.program))
-        .with_max_cycles(spec.max_cycles)
-        .with_prep(move |m: &mut Machine| {
-            for p in &inputs {
-                m.mem_mut()
-                    .write_bytes(p.addr, &p.bytes)
-                    .map_err(|fault| SimError::Mem { fault, pc: 0 })?;
-            }
-            m.mem_mut()
-                .write_bytes(secret_addr, &secret)
-                .map_err(|fault| SimError::Mem { fault, pc: 0 })?;
-            Ok(())
-        })
+/// The reference images of one cold pipeline run per (class, trial),
+/// in job order.
+fn pipeline_images(
+    spec: &ScanSpec,
+    grid: &[(String, OptConfig)],
+    trials: u32,
+    threads: usize,
+) -> Result<Vec<Arc<[u8]>>, ScanError> {
+    let cold: Vec<(u64, Arc<[u8]>)> = spec
+        .inputs
+        .iter()
+        .map(|p| (p.addr, Arc::from(&p.bytes[..])))
+        .chain([(spec.secret.addr, Arc::from(&spec.secret.a[..]))])
+        .collect();
+    let jobs: Vec<MemberSpec> = grid
+        .iter()
+        .flat_map(|(_, opts)| (0..trials).map(|t| member(spec, *opts, t, cold.clone())))
+        .collect();
+    run_phase(&jobs, threads, |m, _| {
+        Arc::from(
+            m.mem()
+                .read_bytes(0, m.config().mem_size)
+                .expect("whole memory readable"),
+        )
+    })
+    .map_err(|(i, e)| member_error(grid, trials, i, "reference", e))
 }
 
-fn member_preconditioned(
+/// One pipeline run of the victim under `opts` and trial `trial`'s
+/// seed, its zeroed memory first loaded with `regions`, in order.
+fn member(
     spec: &ScanSpec,
     opts: OptConfig,
     trial: u32,
-    image: Arc<Vec<u8>>,
-    v: Variant,
+    regions: Vec<(u64, Arc<[u8]>)>,
 ) -> MemberSpec {
-    let secret_addr = spec.secret.addr;
-    let secret = secret_bytes(spec, v);
     MemberSpec::new(cfg_for(spec, opts, trial), Arc::clone(&spec.program))
         .with_max_cycles(spec.max_cycles)
         .with_prep(move |m: &mut Machine| {
-            m.mem_mut()
-                .write_bytes(0, &image)
-                .map_err(|fault| SimError::Mem { fault, pc: 0 })?;
-            m.mem_mut()
-                .write_bytes(secret_addr, &secret)
-                .map_err(|fault| SimError::Mem { fault, pc: 0 })?;
+            for (addr, bytes) in &regions {
+                m.mem_mut()
+                    .write_bytes(*addr, bytes)
+                    .map_err(|fault| SimError::Mem { fault, pc: 0 })?;
+            }
             Ok(())
         })
 }
@@ -533,5 +577,311 @@ fn member_error(
             phase,
             error: e.to_string(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pandora_isa::{AluOp, Asm, Reg};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::job::{parse_job, JobKind};
+    use crate::victims::{bsaes_spec, ct_control_spec};
+
+    /// Bytecode victims shaped like the benchmark's scan corpus: a
+    /// constant function, a secret-indexed table read, and a loop that
+    /// copies the secret into a buffer.
+    const CORPUS: [&str; 3] = [
+        r#""victim": {"maps": [{"elem_size": 8, "len": 1}],
+                      "insts": [["mov_imm", 0, 1], ["exit"]]},
+           "secret": {"map": 0, "a": [1, 2, 3, 4, 5, 6, 7, 8], "b": [8, 7, 6, 5, 4, 3, 2, 1]}"#,
+        r#""victim": {"maps": [{"elem_size": 8, "len": 1}, {"elem_size": 8, "len": 64}],
+                      "insts": [["mov_imm", 1, 0], ["lookup", 0, 0, 1],
+                                ["jmp_if", "eq", 0, "imm", 0, 9], ["load_ind", 2, 0],
+                                ["alu", "and", 2, "imm", 63], ["lookup", 3, 1, 2],
+                                ["jmp_if", "eq", 3, "imm", 0, 9], ["load_ind", 4, 3],
+                                ["mov_imm", 0, 0], ["exit"]]},
+           "secret": {"map": 0, "a": [9, 0, 0, 0, 0, 0, 0, 0], "b": [41, 0, 0, 0, 0, 0, 0, 0]},
+           "inputs": [{"map": 1, "bytes": [7, 7, 7, 7, 7, 7, 7, 7, 1, 2, 3, 4, 5, 6, 7, 8]}]"#,
+        r#""victim": {"maps": [{"elem_size": 8, "len": 4}, {"elem_size": 8, "len": 16}],
+                      "insts": [["mov_imm", 1, 0], ["mov_reg", 5, 1], ["alu", "and", 5, "imm", 3],
+                                ["lookup", 0, 0, 5], ["jmp_if", "eq", 0, "imm", 0, 12],
+                                ["load_ind", 2, 0], ["lookup", 3, 1, 1],
+                                ["jmp_if", "eq", 3, "imm", 0, 12], ["store_ind", 3, 2],
+                                ["alu", "add", 1, "imm", 1], ["jmp_if", "lt", 1, "imm", 16, 1],
+                                ["mov_imm", 0, 0], ["exit"]]},
+           "secret": {"map": 0, "a": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3],
+                      "b": [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5]}"#,
+    ];
+
+    /// A victim that stores how many cycles its secret load took.
+    const READ_CLOCK: &str = r#"
+        "victim": {"maps": [{"elem_size": 8, "len": 1}, {"elem_size": 8, "len": 1}],
+                   "insts": [["read_clock", 1], ["mov_imm", 2, 0], ["lookup", 0, 0, 2],
+                             ["jmp_if", "eq", 0, "imm", 0, 10], ["load_ind", 3, 0],
+                             ["lookup", 4, 1, 2], ["jmp_if", "eq", 4, "imm", 0, 10],
+                             ["read_clock", 5], ["alu", "sub", 5, "reg", 1], ["store_ind", 4, 5],
+                             ["exit"]]},
+        "secret": {"map": 0, "a": [5, 0, 0, 0, 0, 0, 0, 0], "b": [6, 0, 0, 0, 0, 0, 0, 0]}"#;
+
+    /// A bytecode victim admitted the way the service admits it.
+    fn bytecode(fields: &str, trials: u32, seed: u64) -> ScanSpec {
+        let body = format!(r#"{{{fields}, "trials": {trials}, "seed": {seed}}}"#);
+        let job = parse_job(body.as_bytes(), &ScanLimits::default(), false).expect("victim admits");
+        let JobKind::Scan(spec) = job.kind else {
+            panic!("expected a scan")
+        };
+        spec
+    }
+
+    /// Every victim of the equivalence test.
+    fn victims() -> Vec<(String, ScanSpec)> {
+        let mut out = Vec::new();
+        for seed in 0..3 {
+            for trials in [1, 2] {
+                out.push((format!("bsaes {seed}/{trials}"), bsaes_spec(seed, trials)));
+                out.push((
+                    format!("ct-control {seed}/{trials}"),
+                    ct_control_spec(seed, trials),
+                ));
+                for (i, fields) in CORPUS.iter().enumerate() {
+                    out.push((
+                        format!("corpus {i} {seed}/{trials}"),
+                        bytecode(fields, trials, seed),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// The scan's one functional reference image stands in for every
+    /// (class, trial) pipeline reference run, so it must equal each of
+    /// them byte for byte.
+    #[test]
+    fn emulator_image_equals_every_pipeline_reference_image() {
+        let grid = scan_opt_grid();
+        for (name, spec) in victims() {
+            assert!(!reads_cycle_counter(&spec.program), "{name}");
+            let image = functional_image(&spec).expect("functional run halts");
+            let trials = spec.trials;
+            let pipeline = pipeline_images(&spec, &grid, trials, 0).expect("pipeline runs halt");
+            assert_eq!(pipeline.len(), grid.len() * trials as usize);
+            for (i, p) in pipeline.iter().enumerate() {
+                let (class, trial) = (&grid[i / trials as usize].0, i % trials as usize);
+                assert!(
+                    *p == image,
+                    "{name}: {class} trial {trial} reference image differs from the emulator's"
+                );
+            }
+        }
+    }
+
+    /// The emulator's `rdcycle` counts instructions, so a victim that
+    /// reads the cycle counter keeps its pipeline reference runs; any
+    /// other victim makes one functional run.
+    #[test]
+    fn only_a_read_clock_victim_keeps_its_pipeline_references() {
+        let grid = scan_opt_grid();
+        for trials in [1, 2] {
+            let spec = bytecode(READ_CLOCK, trials, 0);
+            assert!(reads_cycle_counter(&spec.program));
+            let image = functional_image(&spec).expect("functional run halts");
+            for p in pipeline_images(&spec, &grid, trials, 0).expect("pipeline runs halt") {
+                assert!(
+                    *p != *image,
+                    "a cycle count must not equal an instruction count"
+                );
+            }
+            assert_eq!(
+                run_scan(&spec, 0).expect("scan completes").runs,
+                24 * trials
+            );
+
+            let spec = bytecode(CORPUS[2], trials, 0);
+            assert_eq!(
+                run_scan(&spec, 0).expect("scan completes").runs,
+                16 * trials + 1
+            );
+        }
+    }
+
+    fn asm_spec(program: Program, max_cycles: u64) -> ScanSpec {
+        ScanSpec {
+            program: Arc::new(program),
+            inputs: Vec::new(),
+            secret: MarkedSecret {
+                addr: 0x100,
+                a: vec![1],
+                b: vec![2],
+            },
+            trials: 1,
+            mem_size: 1 << 16,
+            seed: 0,
+            max_cycles,
+        }
+    }
+
+    /// A victim that never halts runs out of emulator steps, and fails
+    /// where a failing pipeline reference run is reported.
+    #[test]
+    fn spin_loop_fails_in_the_reference_phase() {
+        let mut a = Asm::new();
+        a.label("spin");
+        a.j("spin");
+        let err = run_scan(&asm_spec(a.assemble().expect("assembles"), 1000), 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "scan member failed (class baseline, trial 0, reference run): \
+             functional run failed: no halt within 4000 steps"
+        );
+        assert!(matches!(
+            err,
+            ScanError::Member {
+                phase: "reference",
+                ..
+            }
+        ));
+    }
+
+    /// A victim that halts functionally but overruns its cycle budget
+    /// on the pipeline fails in the first pipeline run, baseline's AA.
+    #[test]
+    fn slow_victim_fails_in_the_aa_phase() {
+        let mut a = Asm::new();
+        a.li(Reg::T0, u64::MAX);
+        a.li(Reg::T1, 3);
+        for _ in 0..64 {
+            a.alu(AluOp::Divu, Reg::T0, Reg::T0, Reg::T1);
+        }
+        a.halt();
+        let err = run_scan(&asm_spec(a.assemble().expect("assembles"), 400), 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "scan member failed (class baseline, trial 0, aa run): \
+             member failed: no halt within 400 cycles"
+        );
+        assert!(matches!(err, ScanError::Member { phase: "aa", .. }));
+    }
+
+    fn reg() -> impl Strategy<Value = u8> {
+        0u8..8
+    }
+
+    fn src() -> impl Strategy<Value = String> {
+        prop_oneof![
+            reg().prop_map(|r| format!(r#""reg", {r}"#)),
+            (0u64..1 << 40).prop_map(|v| format!(r#""imm", {v}"#)),
+        ]
+    }
+
+    /// One bytecode instruction in the service's JSON form, drawn as
+    /// the sandbox's soundness proptest draws them, `read_clock`
+    /// included.
+    fn inst(len: usize) -> impl Strategy<Value = String> {
+        let alu = prop_oneof![
+            Just("add"),
+            Just("sub"),
+            Just("and"),
+            Just("or"),
+            Just("xor"),
+            Just("lsh"),
+            Just("rsh"),
+            Just("mul"),
+        ];
+        prop_oneof![
+            (reg(), 0u64..1 << 40).prop_map(|(d, v)| format!(r#"["mov_imm", {d}, {v}]"#)),
+            (reg(), reg()).prop_map(|(d, s)| format!(r#"["mov_reg", {d}, {s}]"#)),
+            (alu, reg(), src()).prop_map(|(op, d, s)| format!(r#"["alu", "{op}", {d}, {s}]"#)),
+            (reg(), 0u8..2, reg()).prop_map(|(d, m, i)| format!(r#"["lookup", {d}, {m}, {i}]"#)),
+            (reg(), reg()).prop_map(|(d, p)| format!(r#"["load_ind", {d}, {p}]"#)),
+            (reg(), reg()).prop_map(|(p, s)| format!(r#"["store_ind", {p}, {s}]"#)),
+            (0..len).prop_map(|t| format!(r#"["jmp", {t}]"#)),
+            (reg(), 0..len).prop_map(|(a, t)| format!(r#"["jmp_if", "eq", {a}, "imm", 0, {t}]"#)),
+            (reg(), reg(), 0..len)
+                .prop_map(|(a, b, t)| format!(r#"["jmp_if", "lt", {a}, "reg", {b}, {t}]"#)),
+            reg().prop_map(|d| format!(r#"["read_clock", {d}]"#)),
+            Just(r#"["exit"]"#.to_string()),
+        ]
+    }
+
+    /// One step of a random program: a single instruction, or a
+    /// guarded map access (lookup, a null check that jumps to the final
+    /// `exit`, then a load or a store), the shape the verifier accepts.
+    fn step(len: usize) -> impl Strategy<Value = Vec<String>> {
+        let access =
+            (reg(), 0u8..2, reg(), reg(), any::<bool>()).prop_map(|(p, m, i, d, store)| {
+                vec![
+                    format!(r#"["lookup", {p}, {m}, {i}]"#),
+                    format!(r#"["jmp_if", "eq", {p}, "imm", 0, EXIT]"#),
+                    if store {
+                        format!(r#"["store_ind", {p}, {d}]"#)
+                    } else {
+                        format!(r#"["load_ind", {d}, {p}]"#)
+                    },
+                ]
+            });
+        prop_oneof![inst(len).prop_map(|i| vec![i]), access]
+    }
+
+    fn bytes(n: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(any::<u8>(), n).prop_map(|b| format!("{b:?}"))
+    }
+
+    /// A scan request for a random bytecode program.
+    fn job() -> impl Strategy<Value = String> {
+        (
+            prop::collection::vec(step(24), 1..10),
+            bytes(8),
+            bytes(8),
+            bytes(32),
+            0u64..1 << 40,
+        )
+            .prop_map(|(steps, a, b, input, seed)| {
+                let insts = steps.concat();
+                let exit = insts.len().to_string();
+                format!(
+                    r#"{{"victim": {{"maps": [{{"elem_size": 8, "len": 8}},
+                                              {{"elem_size": 1, "len": 32}}],
+                                    "insts": [{}, ["exit"]]}},
+                        "secret": {{"map": 0, "a": {a}, "b": {b}}},
+                        "inputs": [{{"map": 1, "bytes": {input}}}],
+                        "trials": 1, "seed": {seed}}}"#,
+                    insts.join(", ").replace("EXIT", &exit)
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random verified bytecode never panics the scanner, scans the
+        /// same at 1 and at 2 fleet threads, and (when it does not read
+        /// the cycle counter) leaves the same memory image on the
+        /// emulator as on every class's pipeline reference run.
+        #[test]
+        fn random_verified_bytecode_scans_deterministically(body in job()) {
+            let limits = ScanLimits { max_cycles: 3_000, ..ScanLimits::default() };
+            let job = parse_job(body.as_bytes(), &limits, false);
+            prop_assume!(job.is_ok()); // not verified: nothing to scan
+            let JobKind::Scan(spec) = job.expect("admitted").kind else {
+                panic!("expected a scan")
+            };
+            let scan = |threads| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_scan(&spec, threads)))
+            };
+            let (one, two) = (scan(1), scan(2));
+            prop_assert!(one.is_ok() && two.is_ok(), "run_scan panicked");
+            prop_assert_eq!(one.ok(), two.ok());
+            if !reads_cycle_counter(&spec.program) {
+                if let Ok(pipeline) = pipeline_images(&spec, &scan_opt_grid(), 1, 2) {
+                    let image = functional_image(&spec).ok();
+                    for p in &pipeline {
+                        prop_assert!(image.as_ref() == Some(p), "emulator image differs or failed");
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,6 +4,13 @@
 //! program, the architectural state produced by [`Machine`] must match
 //! the state produced by [`Emulator`] exactly.
 //!
+//! The scan service leans on that equivalence in production:
+//! `pandora_server::scan` takes the memory image a victim's reference
+//! call leaves behind from one emulator run, instead of one pipeline
+//! run per optimization class and trial. Only a program that reads the
+//! cycle counter still needs the pipeline there, because `rdcycle`
+//! here returns the instruction count.
+//!
 //! [`Machine`]: crate::Machine
 
 use std::error::Error;

@@ -10,6 +10,7 @@ use std::time::Duration;
 use pandora::runner::chaos::{self, ChaosKind, ChaosPlan, Site};
 use pandora::server::json::{self, Json};
 use pandora::server::quota::QuotaConfig;
+use pandora::server::scan::ScanLimits;
 use pandora::server::server::{Server, ServerConfig, ServerHandle};
 use pandora::server::store::ScanStore;
 
@@ -351,6 +352,73 @@ fn a_full_admission_queue_sheds_with_503() {
     assert_eq!(status, 503, "{body}");
     assert_eq!(error_code(&body), "queue-full");
     assert!(head.contains("Retry-After:"), "{head}");
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn scan_failures_are_422_scan_failed() {
+    // A 200-cycle budget lets the functional reference run take
+    // 4 x 200 instructions (the pipeline commits at most 4 a cycle).
+    let cfg = ServerConfig {
+        limits: ScanLimits {
+            max_cycles: 200,
+            ..ScanLimits::default()
+        },
+        ..ServerConfig::default()
+    };
+    let (addr, handle, join) = serve(cfg);
+    let detail = |body: &str| {
+        parse(body)
+            .get("error")
+            .and_then(|e| e.get("detail"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+
+    // A verified victim that never halts fails in the functional
+    // reference run, reported as baseline's trial 0.
+    let (status, _, body) = post(
+        addr,
+        "/v1/scan",
+        r#"{"victim":{"maps":[{"elem_size":8,"len":1}],"insts":[["jmp",0]]},
+            "secret":{"map":0,"a":[1],"b":[2]},"trials":1}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    assert_eq!(error_code(&body), "scan-failed");
+    assert_eq!(
+        detail(&body).as_deref(),
+        Some(
+            "scan member failed (class baseline, trial 0, reference run): \
+             functional run failed: no halt within 800 steps"
+        )
+    );
+
+    // 100 dependent multiplies: about 400 instructions, so the victim
+    // halts functionally, but at 4 cycles a multiply the pipeline runs
+    // out of cycles in the first AA run.
+    let (status, _, body) = post(
+        addr,
+        "/v1/scan",
+        r#"{"victim":{"maps":[{"elem_size":8,"len":1}],
+            "insts":[["mov_imm",1,0],["mov_imm",2,3],["alu","mul",2,"reg",2],
+                     ["alu","add",1,"imm",1],["jmp_if","lt",1,"imm",100,2],["exit"]]},
+            "secret":{"map":0,"a":[1],"b":[2]},"trials":1}"#,
+    );
+    assert_eq!(status, 422, "{body}");
+    assert_eq!(error_code(&body), "scan-failed");
+    assert_eq!(
+        detail(&body).as_deref(),
+        Some(
+            "scan member failed (class baseline, trial 0, aa run): \
+             member failed: no halt within 200 cycles"
+        )
+    );
+
+    let (_, _, body) = get(addr, "/healthz");
+    let jobs = parse(&body).get("jobs").cloned().expect("jobs");
+    assert_eq!(jobs.get("failed").and_then(Json::as_u64), Some(2));
+
     handle.drain();
     join.join().unwrap().unwrap();
 }
