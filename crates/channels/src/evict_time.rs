@@ -6,14 +6,9 @@
 //! not interleave with (e.g. a request/response service), and the
 //! conceptual basis of the amplification gadget's flush sub-gadget.
 
-use std::sync::Arc;
+use pandora_isa::{Asm, Reg};
 
-use pandora_isa::{Asm, Program, Reg};
-use pandora_sim::fleet::{self, MachinePool, MemberError, MemberSpec};
-use pandora_sim::{FaultPlan, SimConfig, SimError};
-
-use crate::prime_probe::{try_read_timings, EvictionSet};
-use crate::retry::{Calibration, RetryError, RetryPolicy};
+use crate::prime_probe::EvictionSet;
 
 /// Emits the eviction step: touch every conflicting line of `set`,
 /// displacing the target set's contents, then fence.
@@ -40,140 +35,6 @@ pub fn emit_timed_victim(
     a.rdcycle(Reg::T4);
     a.sub(Reg::T4, Reg::T4, Reg::T3);
     a.sd(Reg::T4, Reg::ZERO, result_addr as i64);
-}
-
-/// Paired timing populations from one Evict+Time round:
-/// `(fast_timings, slow_timings)` — victim line resident vs evicted.
-pub type EvictTimings = (Vec<u64>, Vec<u64>);
-
-/// One Evict+Time calibration round: times a victim load `trials` times
-/// with an *unrelated* set evicted beforehand (fast — the victim's line
-/// stays resident) and `trials` times with the victim's own set evicted
-/// (slow), returning `(fast, slow)`.
-///
-/// `faults` optionally installs a [`FaultPlan`] on the measuring
-/// machine, for harnesses exercising [`RetryPolicy`] recovery under
-/// injected noise.
-///
-/// # Errors
-///
-/// Any [`SimError`] from the measuring run.
-pub fn evict_time_round(
-    cfg: &SimConfig,
-    trials: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<EvictTimings, SimError> {
-    let mut pool = MachinePool::default();
-    evict_rounds_pooled(&mut pool, &[*cfg], trials, faults, 1).remove(0)
-}
-
-/// The compiled Evict+Time round for `cfg`'s L1 geometry: `trials`
-/// timed victim accesses after evicting an unrelated set (fast) and
-/// `trials` after evicting the victim's own set (slow).
-///
-/// Eviction sets depend on the config's L1 geometry, so unlike the
-/// Prime+Probe round this program is per-config, not universal.
-fn evict_round_program(cfg: &SimConfig, trials: usize) -> (Program, u64, u64) {
-    let victim_addr = 0x10_0000u64;
-    let other_addr = 0x18_0040u64; // maps to a different L1 set
-    let fast_buf = 0x1000u64;
-    let slow_buf = fast_buf + 8 * trials as u64;
-    let ways = cfg.l1d.ways + 8; // over-provision to defeat LRU noise
-
-    let victim_set = EvictionSet::for_target(&cfg.l1d, victim_addr, ways);
-    let other_set = EvictionSet::for_target(&cfg.l1d, other_addr, ways);
-
-    let mut a = Asm::new();
-    a.ld(Reg::T0, Reg::ZERO, victim_addr as i64); // steady state
-    a.fence();
-    for i in 0..trials as u64 {
-        emit_evict(&mut a, &other_set);
-        emit_timed_victim(&mut a, fast_buf + 8 * i, |v| {
-            v.ld(Reg::T0, Reg::ZERO, victim_addr as i64);
-        });
-    }
-    for i in 0..trials as u64 {
-        emit_evict(&mut a, &victim_set);
-        emit_timed_victim(&mut a, slow_buf + 8 * i, |v| {
-            v.ld(Reg::T0, Reg::ZERO, victim_addr as i64);
-        });
-    }
-    a.halt();
-    let prog = a.assemble().expect("calibration program assembles");
-    (prog, fast_buf, slow_buf)
-}
-
-/// Runs one Evict+Time round per config as a fleet grid over pooled
-/// machines. Programs are assembled per distinct L1 geometry (the
-/// eviction sets depend on it) and shared within a geometry; machines
-/// are recycled between rounds; rounds steal work across `threads`
-/// threads (0 = process default). Results come back in config order.
-fn evict_rounds_pooled(
-    pool: &mut MachinePool,
-    cfgs: &[SimConfig],
-    trials: usize,
-    faults: Option<&FaultPlan>,
-    threads: usize,
-) -> Vec<Result<EvictTimings, SimError>> {
-    if cfgs.is_empty() {
-        return Vec::new();
-    }
-    let mut cached: Vec<(pandora_sim::CacheConfig, Arc<Program>, u64, u64)> = Vec::new();
-    let specs: Vec<MemberSpec> = cfgs
-        .iter()
-        .map(|&cfg| {
-            let (prog, _, _) = match cached.iter().find(|(l1d, ..)| *l1d == cfg.l1d) {
-                Some((_, p, f, s)) => (Arc::clone(p), *f, *s),
-                None => {
-                    let (p, f, s) = evict_round_program(&cfg, trials);
-                    let p = Arc::new(p);
-                    cached.push((cfg.l1d, Arc::clone(&p), f, s));
-                    (p, f, s)
-                }
-            };
-            let mut spec = MemberSpec::new(cfg, prog).with_max_cycles(50_000_000);
-            if let Some(plan) = faults {
-                let plan = plan.clone();
-                spec = spec.with_prep(move |m| {
-                    m.inject_faults(plan.clone());
-                    Ok(())
-                });
-            }
-            spec
-        })
-        .collect();
-    // The result buffers sit at the same addresses for every geometry.
-    let (fast_buf, slow_buf) = (cached[0].2, cached[0].3);
-    fleet::trial_grid_pooled(pool, &specs, threads, move |_, m, _| {
-        let read = |buf: u64| {
-            try_read_timings(m, buf, trials).expect("result buffer in bounds")
-        };
-        (read(fast_buf), read(slow_buf))
-    })
-    .into_iter()
-    .map(|r| r.map_err(MemberError::unwrap_sim))
-    .collect()
-}
-
-/// Calibrates the Evict+Time runtime margin for `cfg` under `policy`:
-/// the returned [`Calibration`]'s threshold separates "victim used the
-/// evicted set" from "victim untouched" runtimes.
-///
-/// # Errors
-///
-/// See [`RetryPolicy::calibrate`].
-pub fn calibrate_evict_margin(
-    cfg: &SimConfig,
-    policy: &RetryPolicy,
-    base_trials: usize,
-) -> Result<Calibration, RetryError> {
-    // One pooled machine for every attempt: the pool recycles its
-    // machine across rounds ([`Machine::reset_to`]) with allocations
-    // kept warm.
-    let mut pool = MachinePool::default();
-    policy.calibrate(base_trials, |trials, _attempt| {
-        evict_rounds_pooled(&mut pool, &[*cfg], trials, None, 1).remove(0)
-    })
 }
 
 #[cfg(test)]

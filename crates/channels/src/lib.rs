@@ -7,8 +7,11 @@
 //! workspace.
 //!
 //! * [`prime_probe`] — eviction-set construction, timed-probe code
-//!   generation (real receiver programs running on the simulator), and
-//!   the idealized residency oracle the paper's leakage model assumes.
+//!   generation (real receiver programs running on the simulator),
+//!   probe-threshold calibration rounds, and the idealized residency
+//!   oracle the paper's leakage model assumes.
+//! * [`evict_time`] — Evict+Time code generation: evict a candidate
+//!   set, then time the victim.
 //! * [`covert`] — a complete cache covert channel (send a symbol by
 //!   touching a line, receive by timing probes), the final hop of both
 //!   proofs of concept.
@@ -17,6 +20,10 @@
 //! * [`retry`] — bounded-retry calibration ([`RetryPolicy`]): noisy
 //!   rounds are retried with more trials until the timing populations
 //!   separate, and failures surface as structured [`RetryError`]s.
+//!   This crate's simulated rounds, first attempts and retries alike,
+//!   each run as one `pandora_sim::fleet::trial_grid` call, so a retry
+//!   runs on a machine that call provisioned, never on one a failed
+//!   round left behind.
 //! * [`adaptive`] — noise-hardened receiver machinery: SNR /
 //!   error-rate reporting ([`ChannelQuality`],
 //!   [`BitErrorCounter`]), repetition decoding ([`majority_vote`]),
@@ -32,11 +39,10 @@ pub mod stats;
 
 pub use adaptive::{majority_vote, AdaptiveReceiver, BitErrorCounter, ChannelQuality};
 pub use covert::CovertChannel;
-pub use evict_time::{calibrate_evict_margin, emit_evict, emit_timed_victim, evict_time_round};
+pub use evict_time::{emit_evict, emit_timed_victim};
 pub use prime_probe::{
-    calibrate_probe_threshold, emit_probe_lines, emit_prime, emit_timed_probe, fastest_index,
-    hits_below, probe_calibration_grid, probe_calibration_round, probe_oracle, read_timings,
-    try_read_timings, EvictionSet,
+    emit_probe_lines, emit_timed_probe, fastest_index, hits_below, probe_calibration_grid,
+    probe_calibration_round, probe_oracle, read_timings, try_read_timings, EvictionSet,
 };
 pub use retry::{Calibration, RetryError, RetryPolicy};
 pub use stats::{midpoint_threshold, welch_t, Histogram, Summary};

@@ -1,5 +1,6 @@
-//! Cache receivers: Prime+Probe and timed-probe code generation, plus
-//! the idealized residency oracle.
+//! Cache receivers: eviction sets, timed-probe code generation and
+//! probe-threshold calibration rounds, plus the idealized residency
+//! oracle.
 //!
 //! Two receiver flavours are provided, matching the paper's treatment:
 //!
@@ -14,14 +15,19 @@
 //!   that can monitor hardware resource usage at flip-flop and
 //!   clock-cycle granularity" (§III, footnote 2). Used by tests to
 //!   separate channel noise from transmitter behaviour.
+//!
+//! A calibration round ([`probe_calibration_round`], and
+//! [`probe_calibration_grid`] for many configs at once) times hits and
+//! misses on the simulator through one `pandora_sim::fleet::trial_grid`
+//! call; [`RetryPolicy::calibrate`] turns rounds into a threshold.
 
 use std::sync::Arc;
 
 use pandora_isa::{Asm, Program, Reg};
-use pandora_sim::fleet::{self, MachinePool, MemberError, MemberSpec};
+use pandora_sim::fleet::{self, MemberError, MemberSpec};
 use pandora_sim::{Cache, CacheConfig, FaultPlan, Machine, MemFault, SimConfig, SimError};
 
-use crate::retry::{Calibration, RetryError, RetryPolicy};
+use crate::retry::{RetryError, RetryPolicy};
 
 /// An eviction set: addresses that all map to the target's cache set.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -45,14 +51,6 @@ impl EvictionSet {
     pub fn addrs(&self) -> &[u64] {
         &self.addrs
     }
-}
-
-/// Emits code that primes (touches) every address in the set.
-pub fn emit_prime(a: &mut Asm, set: &EvictionSet) {
-    for &addr in set.addrs() {
-        a.ld(Reg::T0, Reg::ZERO, addr as i64);
-    }
-    a.fence();
 }
 
 /// Emits a timed load of `addr`; the latency (plus a small fixed
@@ -172,8 +170,7 @@ pub fn probe_calibration_round(
     trials: usize,
     faults: Option<&FaultPlan>,
 ) -> Result<ProbeTimings, SimError> {
-    let mut pool = MachinePool::default();
-    probe_rounds_pooled(&mut pool, &[*cfg], trials, faults, 1).remove(0)
+    probe_rounds(&[*cfg], trials, faults, 1).remove(0)
 }
 
 /// The compiled calibration round: warm one line, then time `trials`
@@ -200,14 +197,13 @@ fn probe_round_program(trials: usize) -> (Program, u64, u64) {
     (prog, hit_buf, miss_buf)
 }
 
-/// Runs one calibration round per config as a fleet grid over pooled
-/// machines: the program is assembled once and shared, each round
-/// recycles a pool machine ([`Machine::reset_to`]) instead of
+/// Runs one calibration round per config as one [`fleet::trial_grid`]:
+/// the program is assembled once and shared, a worker's rounds after
+/// its first recycle its machine ([`Machine::reset_to`]) instead of
 /// constructing one, and rounds steal work across `threads` threads
 /// (0 = process default). Results come back in config order; a failed
 /// round yields `Err` in its slot without disturbing siblings.
-fn probe_rounds_pooled(
-    pool: &mut MachinePool,
+fn probe_rounds(
     cfgs: &[SimConfig],
     trials: usize,
     faults: Option<&FaultPlan>,
@@ -229,7 +225,7 @@ fn probe_rounds_pooled(
             spec
         })
         .collect();
-    fleet::trial_grid_pooled(pool, &specs, threads, move |_, m, _| {
+    fleet::trial_grid(&specs, threads, move |_, m, _| {
         (
             read_timings(m, hit_buf, trials),
             read_timings(m, miss_buf, trials),
@@ -242,9 +238,9 @@ fn probe_rounds_pooled(
 
 /// One probe-calibration round per config, re-dispatching **failed
 /// rounds only** under `policy`: the sweep entry point for noise grids
-/// that calibrate dozens of intensities at once. All rounds share one
-/// compiled program and a machine pool, and run across `threads`
-/// threads (0 = process default).
+/// that calibrate dozens of intensities at once. Each attempt is one
+/// fleet grid over one compiled program, across `threads` threads
+/// (0 = process default).
 ///
 /// # Errors
 ///
@@ -256,31 +252,9 @@ pub fn probe_calibration_grid(
     policy: &RetryPolicy,
     threads: usize,
 ) -> Result<Vec<ProbeTimings>, RetryError> {
-    let mut pool = MachinePool::default();
     policy.retry_failed(cfgs.len(), |pending, _attempt| {
         let round_cfgs: Vec<SimConfig> = pending.iter().map(|&i| cfgs[i]).collect();
-        probe_rounds_pooled(&mut pool, &round_cfgs, trials, None, threads)
-    })
-}
-
-/// Calibrates the hit/miss probe threshold for `cfg` under `policy`:
-/// retries noisy rounds with more trials until the hit and miss timing
-/// populations separate by at least `policy.min_t`.
-///
-/// # Errors
-///
-/// See [`RetryPolicy::calibrate`].
-pub fn calibrate_probe_threshold(
-    cfg: &SimConfig,
-    policy: &RetryPolicy,
-    base_trials: usize,
-) -> Result<Calibration, RetryError> {
-    // One pooled machine for every attempt: the pool recycles its
-    // machine across rounds ([`Machine::reset_to`]) with allocations
-    // kept warm.
-    let mut pool = MachinePool::default();
-    policy.calibrate(base_trials, |trials, _attempt| {
-        probe_rounds_pooled(&mut pool, &[*cfg], trials, None, 1).remove(0)
+        probe_rounds(&round_cfgs, trials, None, threads)
     })
 }
 
@@ -390,7 +364,9 @@ mod tests {
     fn calibration_separates_hit_from_miss() {
         let cfg = SimConfig::default();
         let policy = crate::retry::RetryPolicy::default();
-        let cal = calibrate_probe_threshold(&cfg, &policy, 16).unwrap();
+        let cal = policy
+            .calibrate(16, |trials, _attempt| probe_calibration_round(&cfg, trials, None))
+            .unwrap();
         assert_eq!(cal.attempts, 1, "a quiet machine calibrates first try");
         assert!(cal.t >= policy.min_t);
         let lat = MemLatency::default();

@@ -555,4 +555,48 @@ mod tests {
         assert_eq!(s.dump(), r#""a\"b\\c\u0001\n""#);
         assert_eq!(parse(&s.dump()).unwrap(), s);
     }
+
+    /// Fixed-seed fuzzing: the parser returns a value or a [`JsonError`]
+    /// inside the input for any text, never a panic.
+    mod fuzz {
+        use std::panic;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// JSON's own tokens, escapes and a multi-byte character: text
+        /// built from them reaches the string, number and nesting paths
+        /// instead of failing on the first byte.
+        const PIECES: &[&str] = &[
+            "{", "}", "[", "]", "\"", ":", ",", "-", "+", ".", "0", "7", "e", "E", "1e999",
+            "true", "false", "null", "tru", "\\", "\\u", "\\ud83d", "\\ude00", "00ff", " ",
+            "\n", "a", "\u{e9}",
+        ];
+
+        fn check(text: &str) -> Result<(), TestCaseError> {
+            let parsed = panic::catch_unwind(|| parse(text));
+            prop_assert!(parsed.is_ok(), "parse panicked");
+            if let Err(e) = parsed.expect("checked above") {
+                prop_assert!(e.offset <= text.len(), "error offset {} past the end", e.offset);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn arbitrary_text_never_panics_the_parser(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+                check(&String::from_utf8_lossy(&bytes))?;
+            }
+
+            #[test]
+            fn json_shaped_text_never_panics_the_parser(
+                pieces in prop::collection::vec(0..PIECES.len(), 0..48),
+            ) {
+                check(&pieces.iter().map(|&i| PIECES[i]).collect::<String>())?;
+            }
+        }
+    }
 }

@@ -6,14 +6,13 @@
 //! of *independent* simulated trials. This module is the one way to run
 //! them: [`trial_grid`] takes a flat list of trials, each a
 //! [`MemberSpec`] over [`SimConfig`] (distinct seeds, noise
-//! intensities, cache geometries, hook sets), and runs them through a
-//! pool of recycled machines ([`Machine::reset_to`]) across
-//! `std::thread::scope` work-stealing threads, instead of constructing
-//! one machine per trial. [`trial_grid_pooled`] keeps that pool
-//! ([`MachinePool`]) across calls. Trials whose runs share a long
-//! warm-up prefix can fork from a shared [`Checkpoint`]
-//! ([`MemberSpec::with_start`]) instead of replaying it, with
-//! bit-equal results.
+//! intensities, cache geometries, hook sets), and runs them across
+//! `std::thread::scope` work-stealing threads. Each thread owns one
+//! pool slot for the length of the call and recycles its machine
+//! between trials ([`Machine::reset_to`]) instead of constructing one
+//! machine per trial. Trials whose runs share a long warm-up prefix can
+//! fork from a shared [`Checkpoint`] ([`MemberSpec::with_start`])
+//! instead of replaying it, with bit-equal results.
 //!
 //! Three properties are contractual, pinned by
 //! `tests/fleet_differential.rs`:
@@ -32,15 +31,14 @@
 //!   worker that owns the machine, so decoded results (stats, receiver
 //!   transcripts, symbols) — not machines — cross threads.
 //!
-//! Thread-count resolution: every entry point takes a `threads`
-//! argument where `0` means "the process default" —
-//! [`default_threads`], itself defaulting to
-//! `std::thread::available_parallelism()` and settable once at startup
-//! via [`set_default_threads`] (`runall --fleet-threads`). The
-//! effective count is additionally clamped to the job count, and a
-//! single-thread dispatch runs inline on the caller's thread with no
-//! spawning (the zero-alloc audit runs a warmed pool through that
-//! path).
+//! Thread-count resolution: [`trial_grid`] takes a `threads` argument
+//! where `0` means "the process default" — [`default_threads`], itself
+//! defaulting to `std::thread::available_parallelism()` and settable
+//! once at startup via [`set_default_threads`] (`runall
+//! --fleet-threads`). The effective count is additionally clamped to
+//! the job count, and a single-thread dispatch runs inline on the
+//! caller's thread with no spawning (the zero-alloc audit steps its
+//! trials through that path).
 
 use std::any::Any;
 use std::fmt;
@@ -195,15 +193,6 @@ pub enum MemberError {
 }
 
 impl MemberError {
-    /// The structured simulator error, if this wasn't a panic.
-    #[must_use]
-    pub fn sim(&self) -> Option<&SimError> {
-        match self {
-            MemberError::Sim(e) => Some(e),
-            MemberError::Panicked(_) => None,
-        }
-    }
-
     /// Unwraps the [`SimError`], resurfacing captured panics.
     ///
     /// Callers that predate the fleet treated a panic inside a trial as
@@ -264,16 +253,9 @@ fn apply_start_overrides(m: &mut Machine, spec: &MemberSpec, ck: &Checkpoint) {
     }
 }
 
-/// A reusable pool of machines for [`trial_grid_pooled`]: one slot per
-/// worker thread, recycled across jobs *and* across calls (calibration
-/// loops re-dispatch rounds against the same pool, keeping the
-/// PR 5 "one machine across attempts" property).
-#[derive(Debug, Default)]
-pub struct MachinePool {
-    slots: Vec<PoolSlot>,
-}
-
-#[derive(Debug, Default)]
+/// One worker's machine for the length of a [`trial_grid`] call,
+/// with the program it last loaded.
+#[derive(Default)]
 struct PoolSlot {
     machine: Option<Machine>,
     program: Option<Arc<Program>>,
@@ -341,21 +323,11 @@ impl PoolSlot {
     }
 }
 
-/// Runs every job through a fresh machine pool. See
-/// [`trial_grid_pooled`].
-pub fn trial_grid<T, F>(jobs: &[MemberSpec], threads: usize, extract: F) -> Vec<Result<T, MemberError>>
-where
-    T: Send,
-    F: Fn(usize, &mut Machine, SimStats) -> T + Sync,
-{
-    let mut pool = MachinePool::default();
-    trial_grid_pooled(&mut pool, jobs, threads, extract)
-}
-
 /// The shared per-trial machine-construction path for every sweep
 /// driver (fig5 gadget matrix, fig6 trial loops, covert round trips,
-/// calibration rounds): runs each job on a pooled machine —
-/// [`Machine::reset_to`] between jobs instead of a fresh 4 MB machine
+/// calibration rounds, scan trials): runs each job on a pooled
+/// machine — each worker thread owns one slot and [`Machine::reset_to`]s
+/// its machine between jobs instead of building a fresh 4 MB machine
 /// per trial — stealing work across `threads` threads (0 = process
 /// default), and reduces each completed trial through `extract` on the
 /// worker that owns the machine.
@@ -367,20 +339,12 @@ where
 /// disturbing the others. The output is independent of the thread
 /// count and steal order — each job's trial is a pure function of its
 /// [`MemberSpec`].
-pub fn trial_grid_pooled<T, F>(
-    pool: &mut MachinePool,
-    jobs: &[MemberSpec],
-    threads: usize,
-    extract: F,
-) -> Vec<Result<T, MemberError>>
+pub fn trial_grid<T, F>(jobs: &[MemberSpec], threads: usize, extract: F) -> Vec<Result<T, MemberError>>
 where
     T: Send,
     F: Fn(usize, &mut Machine, SimStats) -> T + Sync,
 {
     let threads = effective_threads(threads, jobs.len());
-    if pool.slots.len() < threads {
-        pool.slots.resize_with(threads, PoolSlot::default);
-    }
     let run_one = |slot: &mut PoolSlot, i: usize| -> Result<T, MemberError> {
         let spec = &jobs[i];
         let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -397,29 +361,27 @@ where
                 // tests/fleet_differential.rs pins bit-equality. An
                 // invariant break is different: the pipeline has
                 // already violated its own bookkeeping, so nothing
-                // about its state — including what reset() assumes —
+                // about its state — including what reset_to assumes —
                 // can be trusted. Rebuild instead of recycling.
                 if matches!(
                     e,
                     SimError::InvalidState { .. } | SimError::ResourceExhausted { .. }
                 ) {
-                    slot.machine = None;
-                    slot.program = None;
+                    *slot = PoolSlot::default();
                 }
                 Err(MemberError::Sim(e))
             }
             Err(p) => {
                 // The machine may be mid-step; drop it rather than
                 // recycle poisoned state into the next job.
-                slot.machine = None;
-                slot.program = None;
+                *slot = PoolSlot::default();
                 Err(MemberError::Panicked(panic_message(&*p)))
             }
         }
     };
     if threads <= 1 {
-        let slot = &mut pool.slots[0];
-        return (0..jobs.len()).map(|i| run_one(slot, i)).collect();
+        let mut slot = PoolSlot::default();
+        return (0..jobs.len()).map(|i| run_one(&mut slot, i)).collect();
     }
     let results: Vec<Mutex<Option<Result<T, MemberError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
@@ -428,14 +390,17 @@ where
     let next = &next;
     let run_one = &run_one;
     thread::scope(|s| {
-        for slot in pool.slots.iter_mut().take(threads) {
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
+        for _ in 0..threads {
+            s.spawn(move || {
+                let mut slot = PoolSlot::default();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    let r = run_one(&mut slot, i);
+                    *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
                 }
-                let r = run_one(slot, i);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
     });

@@ -206,59 +206,50 @@ impl Machine {
         self.state.bus.dmp_patterns()
     }
 
-    /// Rewinds to the post-construction state — cycle 0, zeroed memory
-    /// and registers, cold caches and predictors, fresh statistics —
-    /// while keeping every allocation and the loaded program, so
-    /// calibration loops can re-run trials without re-allocating a
-    /// machine. The optimization classes are rewound in place, which
-    /// also discards any installed [`FaultPlan`] and all optimization
-    /// learning state (reuse memos, value-predictor confidence, DMP
-    /// correlations); the noise source's RNG streams are re-derived
-    /// from their seeds so a reset machine replays the identical noise
-    /// sequence.
-    pub fn reset(&mut self) {
-        self.state.reset();
-        self.hooks.reset();
-    }
-
-    /// Rewinds the machine *into a different configuration*: the fleet
+    /// Rewinds the machine to the post-construction state under `cfg`
+    /// — cycle 0, zeroed memory and registers, cold caches and
+    /// predictors, fresh statistics, no fault plan — the fleet
     /// primitive for recycling one allocated machine across the trials
     /// of a sweep whose members differ only in seeds, noise,
-    /// optimization switches, latencies, or watchdog settings.
+    /// optimization switches, latencies, or watchdog settings. Pass the
+    /// machine's own config ([`Machine::config`]) to re-run the same
+    /// trial.
     ///
     /// When [`SimConfig::same_shape`] holds between the current and new
-    /// configs, this is an in-place [`Machine::reset`] under the new
-    /// config — every buffer survives at its high-water mark, the
-    /// loaded program is kept, and `true` is returned. The result is
-    /// bit-equal to a fresh `Machine::new(cfg)` with the same program
-    /// loaded (the differential test in `tests/fleet_differential.rs`
-    /// pins this).
+    /// configs, the machine rewinds in place — every buffer survives at
+    /// its high-water mark, the loaded program is kept, and `true` is
+    /// returned. The result is bit-equal to a fresh `Machine::new(cfg)`
+    /// with the same program loaded (the differential test in
+    /// `tests/fleet_differential.rs` pins this). Under an identical
+    /// config the optimization classes also rewind in place: learned
+    /// tables (reuse memos, value-predictor confidence, DMP
+    /// correlations) are cleared with their capacity kept, and the
+    /// noise source's RNG streams are re-derived from their seed, so the
+    /// machine replays the identical noise sequence.
     ///
     /// When the new config changes allocation shape (memory size,
     /// pipeline geometry, cache geometry, memory latencies), the
     /// machine is rebuilt from scratch and `false` is returned — the
     /// caller must re-load its program.
     pub fn reset_to(&mut self, cfg: SimConfig) -> bool {
-        if self.state.cfg.same_shape(&cfg) {
-            if self.state.cfg == cfg {
-                // Identical config: the cheap in-place path.
-                self.reset();
-            } else {
-                // The classes are rebuilt rather than reset in place:
-                // a reset re-derives from the config they were *built*
-                // with (e.g. the noise source replays its own stored
-                // seed), which is exactly wrong when the config
-                // changed. The big allocations (memory, caches, PRF)
-                // all live in `PipelineState` and survive.
-                self.state.cfg = cfg;
-                self.state.reset();
-                self.hooks = Hooks::from_config(&cfg);
-            }
-            true
-        } else {
+        if !self.state.cfg.same_shape(&cfg) {
             *self = Machine::new(cfg);
-            false
+            return false;
         }
+        if self.state.cfg == cfg {
+            self.hooks.reset();
+        } else {
+            // The classes are rebuilt rather than reset in place: a
+            // reset re-derives from the config they were *built* with
+            // (e.g. the noise source replays its own stored seed),
+            // which is exactly wrong when the config changed. The big
+            // allocations (memory, caches, PRF) all live in
+            // `PipelineState` and survive.
+            self.state.cfg = cfg;
+            self.hooks = Hooks::from_config(&cfg);
+        }
+        self.state.reset();
+        true
     }
 
     /// Captures a deep [`Checkpoint`] of the machine — see

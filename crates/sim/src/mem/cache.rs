@@ -145,7 +145,9 @@ impl Cache {
         assert!(cfg.ways > 0, "ways must be nonzero");
         Cache {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.ways); cfg.sets],
+            // One allocation per set: `vec![v; n]` would clone `v`, and
+            // a cloned empty `Vec` has no capacity.
+            sets: (0..cfg.sets).map(|_| Vec::with_capacity(cfg.ways)).collect(),
             clock: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -282,6 +284,19 @@ mod tests {
             },
             42,
         )
+    }
+
+    #[test]
+    fn new_preallocates_every_set() {
+        let c = Cache::new(CacheConfig::l2(), 0);
+        for (i, set) in c.sets.iter().enumerate() {
+            assert!(
+                set.capacity() >= c.cfg.ways,
+                "set {i} holds {} of {} ways",
+                set.capacity(),
+                c.cfg.ways
+            );
+        }
     }
 
     #[test]

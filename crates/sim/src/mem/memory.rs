@@ -44,14 +44,14 @@ pub struct Memory {
     bytes: Vec<u8>,
     /// Exclusive upper bound of bytes that may be nonzero — the
     /// write high-water mark. Whole-memory [`Memory::clear`] (the
-    /// [`Machine::reset`] path, and therefore every fleet machine
+    /// [`Machine::reset_to`] path, and therefore every fleet machine
     /// recycle) zero-fills only `..dirty_hi` instead of the full
     /// backing store: a trial that touched a few KiB of a multi-MiB
     /// memory resets in proportion to its footprint, which is what
     /// makes a pooled fleet machine cheaper to recycle than a fresh
     /// `Machine::new` is to construct.
     ///
-    /// [`Machine::reset`]: crate::Machine::reset
+    /// [`Machine::reset_to`]: crate::Machine::reset_to
     dirty_hi: usize,
 }
 

@@ -151,8 +151,8 @@ impl NoiseConfig {
 /// `rdcycle` reads through the configured timer degradation.
 ///
 /// Built by `Hooks::from_config` whenever `cfg.noise.enabled()`, so
-/// [`Machine::reset`](crate::Machine::reset) reproduces the identical
-/// noise stream.
+/// [`Machine::reset_to`](crate::Machine::reset_to) under the same config
+/// reproduces the identical noise stream.
 #[derive(Clone, Debug)]
 pub(crate) struct NoiseHook {
     cfg: NoiseConfig,
@@ -323,7 +323,7 @@ mod tests {
         let mut m = Machine::new(cfg);
         m.load_program(&victim_prog());
         let a = m.run(1_000_000).unwrap();
-        m.reset();
+        m.reset_to(cfg);
         let b = m.run(1_000_000).unwrap();
         assert_eq!(a, b);
     }

@@ -462,7 +462,7 @@ fn reset_matches_a_fresh_machine_bit_for_bit() {
     let mut reused = Machine::new(cfg);
     reused.load_program(&noise);
     reused.run(1_000_000).unwrap();
-    reused.reset();
+    reused.reset_to(cfg);
     reused.load_program(&reference);
     let reused_stats = reused.run(1_000_000).unwrap();
 
@@ -487,7 +487,7 @@ fn reset_keeps_the_loaded_program() {
     m.load_program(&p);
     m.run(10_000).unwrap();
     assert_eq!(m.reg(Reg::T0), 7);
-    m.reset();
+    m.reset_to(SimConfig::default());
     assert_eq!(m.cycle(), 0);
     assert!(!m.is_halted());
     m.run(10_000).unwrap();

@@ -10,9 +10,12 @@
 //!
 //! The grid deliberately mixes the shapes the real sweeps use: seed
 //! variation, noise intensities (the E16 axis), little/default/big
-//! cores (the fig5 ablation axis), and silent-store opts — so machine
-//! recycling is forced through both the reset-in-place path
-//! (`same_shape`) and the rebuild path (geometry change).
+//! cores (the fig5 ablation axis), silent-store opts, and two copies of
+//! a config whose classes learn (computation reuse, value prediction,
+//! the IMP) — so machine recycling is forced through the rebuild path
+//! (geometry change), the reset-in-place path under a new config
+//! (`same_shape`), and the in-place rewind under an identical config,
+//! the path a scan's AA and AB members take at one fleet thread.
 
 use std::sync::Arc;
 
@@ -27,15 +30,24 @@ use pandora_sim::{
 /// [`OptConfig::with_silent_stores`]) the store-queue machinery: a
 /// read-modify-write sweep over `lines` cache lines, twice, so the
 /// second pass re-stores values the first pass wrote (silent stores)
-/// and revisits lines the sweep may have evicted.
+/// and revisits lines the sweep may have evicted. Each swept value also
+/// indexes a table (`T[v & 63]`), an indirection the IMP learns.
 fn sweep_program(lines: u64) -> Program {
     let mut a = Asm::new();
     a.li(Reg::T3, 2); // passes
+    // The table base, from an ALU op whose operands are the same in
+    // every run: a recycled machine's first instance hits the reuse
+    // memo only if its rewind kept the previous run's entry.
+    a.addi(Reg::T5, Reg::ZERO, 0x3_0000);
     a.label("pass");
     a.li(Reg::T0, lines);
     a.li(Reg::T1, 0x2_0000); // base of the swept window
     a.label("loop");
     a.ld(Reg::T2, Reg::T1, 0);
+    a.andi(Reg::T4, Reg::T2, 63);
+    a.slli(Reg::T4, Reg::T4, 3);
+    a.add(Reg::T4, Reg::T4, Reg::T5);
+    a.ld(Reg::T4, Reg::T4, 0);
     a.addi(Reg::T2, Reg::T2, 1);
     a.sd(Reg::T2, Reg::T1, 0);
     a.sd(Reg::T2, Reg::T1, 8); // second store, same line: silent on pass 2
@@ -64,6 +76,19 @@ fn mixed_cfgs() -> Vec<SimConfig> {
         noisy.noise = NoiseConfig::at_intensity(intensity, 0x5eed ^ u64::from(intensity));
         cfgs.push(noisy);
     }
+    // Back to back, so that at one thread the second copy recycles the
+    // first's machine through `reset_to`'s identical-config branch: it
+    // matches a lone run only if that rewind forgets the reuse memo, the
+    // value predictor and the IMP's tables.
+    let learned = SimConfig::with_opts(OptConfig {
+        comp_reuse: true,
+        value_pred: true,
+        dmp: true,
+        cdp: true,
+        rf_compress: true,
+        ..OptConfig::baseline()
+    });
+    cfgs.extend([learned, learned]);
     cfgs
 }
 
@@ -78,13 +103,22 @@ fn prep(m: &mut Machine) -> Result<(), SimError> {
     Ok(())
 }
 
+/// What a trial must reproduce bit for bit: its statistics and the
+/// DMP's confirmed patterns, which no statistic counts.
+type Outcome = (SimStats, Vec<(usize, usize, u64, u64)>);
+
+fn outcome(m: &Machine, stats: SimStats) -> Outcome {
+    (stats, m.dmp_patterns().to_vec())
+}
+
 /// The reference: a lone machine, fresh construction, no fleet — the
 /// exact shape every sweep loop had before the fleet refactor.
-fn lone_run(cfg: SimConfig, program: &Program) -> SimStats {
+fn lone_run(cfg: SimConfig, program: &Program) -> Outcome {
     let mut m = Machine::new(cfg);
     m.load_program(program);
     prep(&mut m).expect("prep succeeds");
-    m.run(DEFAULT_MAX_CYCLES).expect("lone machine completes")
+    let stats = m.run(DEFAULT_MAX_CYCLES).expect("lone machine completes");
+    outcome(&m, stats)
 }
 
 #[test]
@@ -95,16 +129,16 @@ fn fleet_members_are_bit_equal_to_lone_machines() {
         .iter()
         .map(|&cfg| MemberSpec::new(cfg, Arc::clone(&program)).with_prep(prep))
         .collect();
-    let outcomes = fleet::trial_grid(&jobs, 4, |_, _, stats| stats);
+    let outcomes = fleet::trial_grid(&jobs, 4, |_, m, stats| outcome(m, stats));
 
     assert_eq!(outcomes.len(), cfgs.len());
-    for (i, (&cfg, outcome)) in cfgs.iter().zip(&outcomes).enumerate() {
-        let fleet_stats = outcome
+    for (i, (&cfg, member)) in cfgs.iter().zip(&outcomes).enumerate() {
+        let fleet_outcome = member
             .as_ref()
             .unwrap_or_else(|e| panic!("member {i} degraded: {e}"));
         let solo = lone_run(cfg, &program);
         assert_eq!(
-            *fleet_stats, solo,
+            *fleet_outcome, solo,
             "member {i} (seed {:#x}, noise evict {}‰): fleet stats diverged from a lone machine",
             cfg.seed, cfg.noise.evict_permille,
         );
@@ -136,18 +170,18 @@ fn trial_grid_is_invariant_to_threads_and_machine_recycling() {
     let jobs: Vec<MemberSpec> = forks.chain(plain).collect();
 
     // threads = 1 funnels every job through ONE pooled machine, so the
-    // mixed grid forces reset_to through both the same-shape reset path
-    // and the geometry-rebuild path (little/big cores are interleaved
-    // with default-shaped members).
-    let pooled_1: Vec<SimStats> = fleet::trial_grid(&jobs, 1, |_, _, stats| stats)
-        .into_iter()
-        .map(|r| r.expect("job completes"))
-        .collect();
-    let pooled_4: Vec<SimStats> = fleet::trial_grid(&jobs, 4, |_, _, stats| stats)
-        .into_iter()
-        .map(|r| r.expect("job completes"))
-        .collect();
-    let fresh: Vec<SimStats> = jobs
+    // mixed grid forces reset_to through the geometry-rebuild path
+    // (little/big cores are interleaved with default-shaped members),
+    // the same-shape path under a new config, and the identical-config
+    // rewind (the two learned-state members).
+    let pooled = |threads| -> Vec<Outcome> {
+        fleet::trial_grid(&jobs, threads, |_, m, stats| outcome(m, stats))
+            .into_iter()
+            .map(|r| r.expect("job completes"))
+            .collect()
+    };
+    let (pooled_1, pooled_4) = (pooled(1), pooled(4));
+    let fresh: Vec<Outcome> = jobs
         .iter()
         .map(|j| lone_run(j.cfg, &j.program))
         .collect();

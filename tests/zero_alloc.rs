@@ -10,19 +10,20 @@
 //! are gone, and nothing reintroduces them silently.
 //!
 //! One `#[test]` runs six legs serially: the quiet and noisy fig. 5
-//! configurations, a [`Machine::reset`] + re-warm leg, a reset leg
-//! with learned optimization state and a pending fault plan, a
-//! [`Machine::restore`] leg with no re-warm, and a fleet leg that
-//! steps pooled trials at one thread. The allocator is process-global,
-//! so splitting the measurements into separate `#[test]` functions
-//! would let the harness interleave them on different threads and
-//! misattribute counts. The reset legs pin the other half of the
-//! hot-loop contract — rewinding a machine for another calibration
-//! trial neither allocates nor frees the buffers the steady state
-//! depends on, and clears the reuse memos, value predictor and DMP
-//! tables in place. The restore leg pins that a checkpoint carries
-//! those buffers' high-water marks, and the fleet leg that stepping
-//! inside a pooled trial allocates nothing.
+//! configurations, a [`Machine::reset_to`] + re-warm leg, a
+//! `reset_to` leg with learned optimization state and a pending fault
+//! plan, a [`Machine::restore`] leg with no re-warm, and a fleet leg
+//! that steps trials through `fleet::trial_grid` at one thread. The
+//! allocator is process-global, so splitting the measurements into
+//! separate `#[test]` functions would let the harness interleave them
+//! on different threads and misattribute counts. The reset legs rewind
+//! each machine under its own config, the path a fleet worker takes
+//! between two trials of one config, and pin the other half of the
+//! hot-loop contract — that rewind neither allocates nor frees the
+//! buffers the steady state depends on, and clears the reuse memos,
+//! value predictor and DMP tables in place. The restore leg pins that
+//! a checkpoint carries those buffers' high-water marks, and the fleet
+//! leg that stepping inside a trial allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +35,7 @@ use pandora_bench::perf::{
     NOISY_WARMUP_STEPS, QUIET_WARMUP_STEPS,
 };
 use pandora_isa::{Asm, Reg};
-use pandora_sim::fleet::{self, MachinePool};
+use pandora_sim::fleet;
 use pandora_sim::{FaultKind, FaultPlan, Machine, MemberSpec, OptConfig, SimConfig};
 
 /// System allocator wrapper that counts every allocation event.
@@ -109,19 +110,21 @@ fn steady_state_step_is_allocation_free() {
         "noisy fig5 config allocated {noisy} times across {MEASURED_STEPS} steady-state steps"
     );
 
-    // `Machine::reset` promises to rewind to the post-construction
-    // state *while keeping every allocation* — it is the primitive
-    // calibration loops use to re-run trials without rebuilding a
-    // machine. Both halves of that promise are audited here: the reset
-    // itself must not allocate, and the post-reset machine must re-warm
-    // back into an allocation-free steady state (nothing freed during
-    // reset that the hot loop then has to re-grow).
+    // `Machine::reset_to` under the machine's own config promises to
+    // rewind to the post-construction state *while keeping every
+    // allocation* — it is the primitive a fleet worker uses to re-run
+    // a trial without rebuilding a machine. Both halves of that promise
+    // are audited here: the rewind itself must not allocate, and the
+    // rewound machine must re-warm back into an allocation-free steady
+    // state (nothing freed during the rewind that the hot loop then has
+    // to re-grow).
+    let noisy_cfg = *noisy_machine.config();
     let before_reset = allocs_now();
-    noisy_machine.reset();
+    assert!(noisy_machine.reset_to(noisy_cfg), "same config keeps the machine");
     let reset_allocs = allocs_now() - before_reset;
     assert_eq!(
         reset_allocs, 0,
-        "Machine::reset() allocated {reset_allocs} times; it must recycle in place"
+        "Machine::reset_to(own config) allocated {reset_allocs} times; it must recycle in place"
     );
 
     let reheated = steady_state_allocs("fig5_noisy_after_reset", &mut noisy_machine, NOISY_WARMUP_STEPS);
@@ -131,9 +134,9 @@ fn steady_state_step_is_allocation_free() {
          steady-state steps — reset must keep the hot loop's buffers at their high-water mark"
     );
 
-    // Learned-state reset leg: the reset above rewinds only silent
+    // Learned-state reset leg: the rewind above clears only silent
     // stores and noise. With the learning classes on and warmed, and a
-    // fault plan pending, the reset must still clear every table in
+    // fault plan pending, the rewind must still clear every table in
     // place and drop the plan without allocating.
     let mut learned = fig5_step_machine(SimConfig {
         opts: OptConfig {
@@ -151,13 +154,14 @@ fn steady_state_step_is_allocation_free() {
         learned.cycle() + 1_000_000,
         FaultKind::SpuriousSquash,
     ));
+    let learned_cfg = *learned.config();
     let before_learned_reset = allocs_now();
-    learned.reset();
+    assert!(learned.reset_to(learned_cfg), "same config keeps the machine");
     let learned_reset_allocs = allocs_now() - before_learned_reset;
     assert_eq!(
         learned_reset_allocs, 0,
-        "Machine::reset() with learned state allocated {learned_reset_allocs} times; it must \
-         clear the optimization tables in place"
+        "Machine::reset_to(own config) with learned state allocated {learned_reset_allocs} \
+         times; it must clear the optimization tables in place"
     );
 
     // Restore leg: `Machine::restore` rewinds to a mid-run checkpoint
@@ -178,11 +182,12 @@ fn steady_state_step_is_allocation_free() {
          steady-state steps — restore must reuse every buffer at its captured high-water mark"
     );
 
-    // Fleet leg: `trial_grid_pooled` at threads = 1 runs inline on the
-    // caller's thread against a warmed pool. Per call it may allocate
-    // (the result vector, machine recycling), but stepping inside it
-    // must not: a repeat call allocates exactly as often whether each
-    // trial counts down a short loop or one ten times longer.
+    // Fleet leg: `trial_grid` at threads = 1 runs inline on the
+    // caller's thread. Per call it may allocate (the result vector, the
+    // worker's machine and its buffers' growth to their high-water
+    // marks), but stepping inside it must not: a call allocates exactly
+    // as often whether each trial counts down a short loop or one ten
+    // times longer.
     let counting = Arc::new({
         let mut a = Asm::new();
         a.ld(Reg::T0, Reg::ZERO, COUNT_ADDR as i64);
@@ -204,25 +209,22 @@ fn steady_state_step_is_allocation_free() {
             .collect()
     };
     let (short, long) = (jobs(1_000), jobs(10_000));
-    let mut pool = MachinePool::default();
-    let mut pooled = |jobs: &[MemberSpec]| -> (u64, u64) {
+    let grid = |jobs: &[MemberSpec]| -> (u64, u64) {
         let before = allocs_now();
-        let out = fleet::trial_grid_pooled(&mut pool, jobs, 1, |_, _, stats| stats.committed);
+        let out = fleet::trial_grid(jobs, 1, |_, _, stats| stats.committed);
         let allocs = allocs_now() - before;
         let committed = out.into_iter().map(|r| r.expect("counting trial halts")).sum();
         (allocs, committed)
     };
-    pooled(&long);
-    pooled(&short);
-    let (short_allocs, short_committed) = pooled(&short);
-    let (long_allocs, long_committed) = pooled(&long);
+    let (short_allocs, short_committed) = grid(&short);
+    let (long_allocs, long_committed) = grid(&long);
     assert!(
         long_committed > 9 * short_committed,
         "the long trials must step ~10x more: {long_committed} vs {short_committed} committed"
     );
     assert_eq!(
         long_allocs, short_allocs,
-        "trial_grid_pooled (threads=1) allocated {long_allocs} times for 10x longer trials vs \
-         {short_allocs} for short ones — stepping inside a pooled trial must stay allocation-free"
+        "trial_grid (threads=1) allocated {long_allocs} times for 10x longer trials vs \
+         {short_allocs} for short ones — stepping inside a trial must stay allocation-free"
     );
 }
