@@ -230,8 +230,8 @@ mod tests {
     fn conflict_lines_share_the_target_set() {
         let cfg = SimConfig::default();
         let g = AmplifyGadget::new(&cfg, 0x1_0040, 0x8_0000, FlushKind::Contention);
-        let l1 = pandora_sim::Cache::new(cfg.l1d, 0);
-        let l2 = pandora_sim::Cache::new(cfg.l2, 0);
+        let l1 = pandora_sim::Cache::new(cfg.l1d);
+        let l2 = pandora_sim::Cache::new(cfg.l2);
         assert!(g.flush_lines().len() > cfg.l2.ways);
         for &line in g.flush_lines() {
             assert_eq!(l1.set_index(line), l1.set_index(0x1_0040), "L1 set");

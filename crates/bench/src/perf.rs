@@ -46,14 +46,15 @@ pub const FIG5_DELAY: u64 = 0x8_0000;
 pub const STEPS_PER_ITER: u64 = 1000;
 
 /// Steady-state warmup for a quiet machine: enough steps for every
-/// pipeline scratch buffer, cache set, and predictor table to reach
-/// its high-water mark.
+/// pipeline scratch buffer and predictor table to reach its high-water
+/// mark.
 pub const QUIET_WARMUP_STEPS: u64 = 20_000;
 /// Steady-state warmup under noise. The windowed fill/evict traffic
-/// touches cache sets the workload never does, but every set starts at
-/// its way count (`Cache::new`), so filling them allocates nothing: a
-/// counting allocator sees the noisy machine's last allocation at step
-/// 129, as for the quiet one. The longer warmup is margin.
+/// touches cache sets the workload never does, but each cache is one
+/// array allocated whole by `Cache::new`, so filling them allocates
+/// nothing: a counting allocator sees the noisy machine's last
+/// allocation at step 129, as for the quiet one. The longer warmup is
+/// margin.
 pub const NOISY_WARMUP_STEPS: u64 = 150_000;
 
 /// The quiet fig5 configuration (silent stores on, as in the golden

@@ -6,12 +6,9 @@
 //! Pandora's Box"* (ISCA 2021): the cache side of every attack in the
 //! workspace.
 //!
-//! * [`prime_probe`] — eviction-set construction, timed-probe code
-//!   generation (real receiver programs running on the simulator),
-//!   probe-threshold calibration rounds, and the idealized residency
-//!   oracle the paper's leakage model assumes.
-//! * [`evict_time`] — Evict+Time code generation: evict a candidate
-//!   set, then time the victim.
+//! * [`prime_probe`] — timed-probe code generation (real receiver
+//!   programs running on the simulator) and probe-threshold
+//!   calibration rounds.
 //! * [`covert`] — a complete cache covert channel (send a symbol by
 //!   touching a line, receive by timing probes), the final hop of both
 //!   proofs of concept.
@@ -32,17 +29,15 @@
 
 pub mod adaptive;
 pub mod covert;
-pub mod evict_time;
 pub mod prime_probe;
 pub mod retry;
 pub mod stats;
 
 pub use adaptive::{majority_vote, AdaptiveReceiver, BitErrorCounter, ChannelQuality};
 pub use covert::CovertChannel;
-pub use evict_time::{emit_evict, emit_timed_victim};
 pub use prime_probe::{
-    emit_probe_lines, emit_timed_probe, fastest_index, hits_below, probe_calibration_grid,
-    probe_calibration_round, probe_oracle, read_timings, try_read_timings, EvictionSet,
+    emit_probe_lines, emit_timed_probe, fastest_index, probe_calibration_grid,
+    probe_calibration_round, read_timings,
 };
 pub use retry::{Calibration, RetryError, RetryPolicy};
 pub use stats::{midpoint_threshold, welch_t, Histogram, Summary};

@@ -1,20 +1,13 @@
-//! Cache receivers: eviction sets, timed-probe code generation and
-//! probe-threshold calibration rounds, plus the idealized residency
-//! oracle.
+//! Cache receivers: timed-probe code generation and probe-threshold
+//! calibration rounds.
 //!
-//! Two receiver flavours are provided, matching the paper's treatment:
-//!
-//! * **Timed probes** ([`emit_timed_probe`], [`emit_probe_lines`]) —
-//!   real receiver code emitted into the attacker's program: `fence;
-//!   rdcycle; load; fence; rdcycle` around each probed line, with the
-//!   per-line latency stored to a result buffer the attacker reads
-//!   back. Probe order is stride-permuted so the receiver's own loads
-//!   do not train the stream prefetcher it is trying to observe.
-//! * **Residency oracle** ([`probe_oracle`]) — direct inspection of the
-//!   simulated cache tags: the paper's "idealized BitCycle attacker
-//!   that can monitor hardware resource usage at flip-flop and
-//!   clock-cycle granularity" (§III, footnote 2). Used by tests to
-//!   separate channel noise from transmitter behaviour.
+//! The receiver is real code emitted into the attacker's program
+//! ([`emit_timed_probe`], [`emit_probe_lines`]): `fence; rdcycle;
+//! load; fence; rdcycle` around each probed line, with the per-line
+//! latency stored to a result buffer the attacker reads back
+//! ([`read_timings`]). Probe order is stride-permuted so the receiver's
+//! own loads do not train the stream prefetcher it is trying to
+//! observe.
 //!
 //! A calibration round ([`probe_calibration_round`], and
 //! [`probe_calibration_grid`] for many configs at once) times hits and
@@ -25,33 +18,9 @@ use std::sync::Arc;
 
 use pandora_isa::{Asm, Program, Reg};
 use pandora_sim::fleet::{self, MemberError, MemberSpec};
-use pandora_sim::{Cache, CacheConfig, FaultPlan, Machine, MemFault, SimConfig, SimError};
+use pandora_sim::{FaultPlan, Machine, SimConfig, SimError};
 
 use crate::retry::{RetryError, RetryPolicy};
-
-/// An eviction set: addresses that all map to the target's cache set.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct EvictionSet {
-    addrs: Vec<u64>,
-}
-
-impl EvictionSet {
-    /// Builds an eviction set of `n` conflicting lines for `target`
-    /// under the given cache geometry (usually `n = ways`).
-    #[must_use]
-    pub fn for_target(cache: &CacheConfig, target: u64, n: usize) -> EvictionSet {
-        let probe = Cache::new(*cache, 0);
-        EvictionSet {
-            addrs: (0..n).map(|i| probe.conflicting_addr(target, i)).collect(),
-        }
-    }
-
-    /// The conflicting addresses.
-    #[must_use]
-    pub fn addrs(&self) -> &[u64] {
-        &self.addrs
-    }
-}
 
 /// Emits a timed load of `addr`; the latency (plus a small fixed
 /// overhead) is stored as a u64 at `result_addr`.
@@ -111,31 +80,12 @@ fn gcd(a: usize, b: usize) -> usize {
 /// Panics if the result buffer is out of bounds — a harness bug.
 #[must_use]
 pub fn read_timings(m: &Machine, result_base: u64, count: usize) -> Vec<u64> {
-    try_read_timings(m, result_base, count).expect("result buffer in bounds")
-}
-
-/// Fallible [`read_timings`]: surfaces an out-of-bounds result buffer
-/// as the structured [`MemFault`] instead of panicking, for drivers
-/// that compute the buffer address from untrusted experiment
-/// parameters.
-///
-/// # Errors
-///
-/// The [`MemFault`] of the first out-of-bounds slot read.
-pub fn try_read_timings(m: &Machine, result_base: u64, count: usize) -> Result<Vec<u64>, MemFault> {
     (0..count)
-        .map(|i| m.mem().read_u64(result_base + 8 * i as u64))
-        .collect()
-}
-
-/// The indices whose probe latency is below `threshold` (cache hits —
-/// i.e. lines someone else touched between prime and probe).
-#[must_use]
-pub fn hits_below(timings: &[u64], threshold: u64) -> Vec<usize> {
-    timings
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &t)| (t < threshold).then_some(i))
+        .map(|i| {
+            m.mem()
+                .read_u64(result_base + 8 * i as u64)
+                .expect("result buffer in bounds")
+        })
         .collect()
 }
 
@@ -258,34 +208,10 @@ pub fn probe_calibration_grid(
     })
 }
 
-/// The idealized residency oracle: whether each of `count` lines
-/// starting at `base` (stride `stride`) is resident in the L1 or L2.
-#[must_use]
-pub fn probe_oracle(m: &Machine, base: u64, count: usize, stride: u64) -> Vec<bool> {
-    (0..count)
-        .map(|i| {
-            let a = base + i as u64 * stride;
-            m.hierarchy().in_l1(a) || m.hierarchy().in_l2(a)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pandora_sim::{MemLatency, SimConfig};
-
-    #[test]
-    fn eviction_set_maps_to_target_set() {
-        let cfg = CacheConfig::l1d();
-        let set = EvictionSet::for_target(&cfg, 0x1234, 4);
-        let c = Cache::new(cfg, 0);
-        assert_eq!(set.addrs().len(), 4);
-        for &a in set.addrs() {
-            assert_eq!(c.set_index(a), c.set_index(0x1234));
-            assert_ne!(c.line_addr(a), c.line_addr(0x1234));
-        }
-    }
 
     #[test]
     fn coprime_step_is_coprime() {
@@ -337,27 +263,6 @@ mod tests {
         m.run(1_000_000).unwrap();
         let timings = read_timings(&m, result, lines);
         assert_eq!(fastest_index(&timings), Some(secret));
-    }
-
-    #[test]
-    fn oracle_sees_residency() {
-        let mut a = Asm::new();
-        a.ld(Reg::T0, Reg::ZERO, 0x4000);
-        a.fence();
-        a.halt();
-        let prog = a.assemble().unwrap();
-        let mut m = Machine::new(SimConfig::default());
-        m.load_program(&prog);
-        m.run(10_000).unwrap();
-        let r = probe_oracle(&m, 0x4000, 2, 64);
-        assert!(r[0], "touched line resident");
-        assert!(!r[1], "next line not resident");
-    }
-
-    #[test]
-    fn hits_below_filters() {
-        assert_eq!(hits_below(&[200, 20, 210, 25], 100), vec![1, 3]);
-        assert!(hits_below(&[200, 210], 100).is_empty());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! vendors this tiny deterministic implementation instead of the real
 //! crate. The generator is xoshiro256++ seeded via SplitMix64 — fast,
 //! well distributed, and fully reproducible from a `u64` seed, which is
-//! all the simulator's seeded structures (random cache replacement,
-//! noise preconditioning, fault plans) require. It makes no attempt to
+//! all the simulator's seeded structures (noise streams, co-runner
+//! traffic, fault plans) require. It makes no attempt to
 //! match the real crate's value streams, only its API.
 
 use core::ops::Range;

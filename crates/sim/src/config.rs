@@ -220,7 +220,10 @@ pub struct SimConfig {
     pub mem_latency: MemLatency,
     /// Optimization switches.
     pub opts: OptConfig,
-    /// Seed for all randomized structures (replacement, etc.).
+    /// A label that callers vary per trial. Nothing simulated reads it:
+    /// the caches are LRU, and the noise streams draw from
+    /// [`NoiseConfig::seed`]. It is part of [`SimConfig::stable_hash`]
+    /// like every other field.
     pub seed: u64,
     /// Deadlock watchdog window: if no instruction commits and no store
     /// dequeues for this many cycles while work is in flight, the run

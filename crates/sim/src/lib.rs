@@ -60,7 +60,7 @@ pub use duo::DuoMachine;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fleet::{MemberError, MemberSpec};
 pub use machine::{Checkpoint, DeadlockDiagnostics, Machine, SimError};
-pub use mem::cache::{Cache, CacheConfig, CacheOutcome, Replacement};
+pub use mem::cache::{Cache, CacheConfig, CacheOutcome};
 pub use mem::hierarchy::{Access, Hierarchy, MemLatency, PrefetchFill, ServedBy};
 pub use mem::memory::{MemFault, Memory};
 pub use noise::{traffic_program, NoiseConfig};

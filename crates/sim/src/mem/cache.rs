@@ -1,21 +1,7 @@
-//! A set-associative, tag-only cache with LRU or random replacement.
+//! A set-associative, tag-only LRU cache: one flat array of ways per
+//! level.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Cache replacement policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Replacement {
-    /// Least-recently-used (default; what the amplification gadget's
-    /// set-contention flush sub-gadget assumes).
-    #[default]
-    Lru,
-    /// Uniform random victim selection, as modelled by the `cache_rand`
-    /// MLD (paper Fig 2, Example 3).
-    Random,
-}
-
-/// Geometry and policy of one cache level.
+/// Geometry of one cache level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheConfig {
     /// Number of sets. Must be a power of two.
@@ -24,8 +10,6 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes. Must be a power of two.
     pub line: usize,
-    /// Replacement policy.
-    pub replacement: Replacement,
 }
 
 impl CacheConfig {
@@ -36,7 +20,6 @@ impl CacheConfig {
             sets: 64,
             ways: 4,
             line: 64,
-            replacement: Replacement::Lru,
         }
     }
 
@@ -47,7 +30,6 @@ impl CacheConfig {
             sets: 256,
             ways: 8,
             line: 64,
-            replacement: Replacement::Lru,
         }
     }
 
@@ -80,24 +62,38 @@ impl CacheOutcome {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Line {
+struct Way {
     tag: u64,
-    /// LRU timestamp; larger is more recent.
+    /// LRU timestamp; larger is more recent, and 0 marks an empty way.
     stamp: u64,
 }
 
-/// One set-associative cache level.
+impl Way {
+    const EMPTY: Way = Way { tag: 0, stamp: 0 };
+
+    fn holds(self, tag: u64) -> bool {
+        self.tag == tag && self.stamp != 0
+    }
+}
+
+/// One set-associative LRU cache level.
 ///
 /// The cache tracks only tags — data always lives in [`Memory`] — because
 /// the simulator needs cache state purely for *timing* and for the
-/// microarchitectural channels built on it (Prime+Probe, Evict+Time,
-/// prefetch fills).
+/// microarchitectural channels built on it (timed probes, set-contention
+/// flushes, prefetch fills).
+///
+/// All `sets × ways` ways live in one array, set after set. The clock
+/// advances before every access, so a filled way's stamp is at least 1
+/// and no two filled ways share one; a miss fills the way with the
+/// smallest stamp, which is an empty way while the set has one and the
+/// least-recently-used line after that.
 ///
 /// [`Memory`]: crate::Memory
 ///
 /// ```
 /// use pandora_sim::{Cache, CacheConfig};
-/// let mut c = Cache::new(CacheConfig::l1d(), 1);
+/// let mut c = Cache::new(CacheConfig::l1d());
 /// assert!(!c.probe(0x1000));
 /// assert!(!c.access(0x1000).is_hit()); // miss fills
 /// assert!(c.access(0x1000).is_hit());
@@ -106,50 +102,36 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    ways: Vec<Way>,
     clock: u64,
-    rng: SmallRng,
 }
 
 impl Cache {
-    /// Capacity-preserving restore: rewinds this cache to `src`'s
-    /// contents while reusing every set vector's allocation. The
-    /// derived `clone_from` would replace the sets with exact-capacity
-    /// clones, which then reallocate one by one as churned sets refill
-    /// toward their way count — breaking the allocation-free hot loop
-    /// after a checkpoint restore. Destructured exhaustively, so a new
-    /// field that no restore copies fails to compile.
+    /// Rewinds this cache to `src`'s contents in place, reusing the way
+    /// array's allocation (the derived `clone_from` would allocate a
+    /// fresh one). Destructured exhaustively, so a new field that no
+    /// restore copies fails to compile.
     pub(crate) fn restore_from(&mut self, src: &Cache) {
-        let Cache {
-            cfg,
-            sets,
-            clock,
-            rng,
-        } = src;
+        let Cache { cfg, ways, clock } = src;
         self.cfg = *cfg;
-        self.sets.clone_from(sets);
+        self.ways.clone_from(ways);
         self.clock = *clock;
-        self.rng = rng.clone();
     }
 
-    /// Creates an empty cache. `seed` drives the random replacement
-    /// policy (ignored under LRU) so runs are reproducible.
+    /// Creates an empty cache.
     ///
     /// # Panics
     ///
     /// Panics if `sets` or `line` is not a power of two, or `ways == 0`.
     #[must_use]
-    pub fn new(cfg: CacheConfig, seed: u64) -> Cache {
+    pub fn new(cfg: CacheConfig) -> Cache {
         assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
         assert!(cfg.line.is_power_of_two(), "line must be a power of two");
         assert!(cfg.ways > 0, "ways must be nonzero");
         Cache {
             cfg,
-            // One allocation per set: `vec![v; n]` would clone `v`, and
-            // a cloned empty `Vec` has no capacity.
-            sets: (0..cfg.sets).map(|_| Vec::with_capacity(cfg.ways)).collect(),
+            ways: vec![Way::EMPTY; cfg.sets * cfg.ways],
             clock: 0,
-            rng: SmallRng::seed_from_u64(seed),
         }
     }
 
@@ -159,15 +141,11 @@ impl Cache {
         &self.cfg
     }
 
-    /// Empties every set and reseeds the replacement RNG, keeping set
-    /// allocations. Equivalent to [`Cache::new`] with the same config
-    /// and `seed`.
-    pub fn reset(&mut self, seed: u64) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+    /// Empties every way, keeping the allocation. Equivalent to
+    /// [`Cache::new`] with the same config.
+    pub fn reset(&mut self) {
+        self.ways.fill(Way::EMPTY);
         self.clock = 0;
-        self.rng = SmallRng::seed_from_u64(seed);
     }
 
     /// The set index `addr` maps to.
@@ -182,43 +160,43 @@ impl Cache {
         addr & !(self.cfg.line as u64 - 1)
     }
 
+    /// The ways of set `set_idx`.
+    fn set(&self, set_idx: usize) -> &[Way] {
+        let start = set_idx * self.cfg.ways;
+        &self.ways[start..start + self.cfg.ways]
+    }
+
+    /// The ways of set `set_idx`, mutably.
+    fn set_mut(&mut self, set_idx: usize) -> &mut [Way] {
+        let start = set_idx * self.cfg.ways;
+        &mut self.ways[start..start + self.cfg.ways]
+    }
+
     /// Whether the line containing `addr` is present, *without* updating
     /// replacement state.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let tag = self.line_addr(addr);
-        self.sets[self.set_index(addr)].iter().any(|l| l.tag == tag)
+        self.set(self.set_index(addr)).iter().any(|w| w.holds(tag))
     }
 
-    /// Looks up `addr`; on a miss, fills the line (evicting a victim if
-    /// the set is full). Updates replacement state.
+    /// Looks up `addr`; on a miss, fills the line (evicting the LRU line
+    /// if the set is full). Updates replacement state.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
         self.clock += 1;
-        let set_idx = self.set_index(addr);
+        let stamp = self.clock;
         let tag = self.line_addr(addr);
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.stamp = clock;
+        let set = self.set_mut(self.set_index(addr));
+        if let Some(way) = set.iter_mut().find(|w| w.holds(tag)) {
+            way.stamp = stamp;
             return CacheOutcome::Hit;
         }
-        let evicted = if set.len() < self.cfg.ways {
-            set.push(Line { tag, stamp: clock });
-            None
-        } else {
-            let victim = match self.cfg.replacement {
-                Replacement::Lru => set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(i, _)| i)
-                    .expect("set is full, so nonempty"),
-                Replacement::Random => self.rng.gen_range(0..set.len()),
-            };
-            let old = set[victim].tag;
-            set[victim] = Line { tag, stamp: clock };
-            Some(old)
-        };
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| w.stamp)
+            .expect("ways is nonzero");
+        let evicted = (victim.stamp != 0).then_some(victim.tag);
+        *victim = Way { tag, stamp };
         CacheOutcome::Miss { evicted }
     }
 
@@ -232,19 +210,13 @@ impl Cache {
     /// Evicts the line containing `addr`, if present. Returns whether a
     /// line was removed.
     pub fn flush_line(&mut self, addr: u64) -> bool {
-        let set_idx = self.set_index(addr);
         let tag = self.line_addr(addr);
-        let set = &mut self.sets[set_idx];
-        let before = set.len();
-        set.retain(|l| l.tag != tag);
-        set.len() != before
-    }
-
-    /// Evicts everything.
-    pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        let set = self.set_mut(self.set_index(addr));
+        let Some(way) = set.iter_mut().find(|w| w.holds(tag)) else {
+            return false;
+        };
+        *way = Way::EMPTY;
+        true
     }
 
     /// The line addresses currently resident in set `set_idx`, in no
@@ -254,19 +226,11 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `set_idx >= sets`.
-    pub fn resident_lines(&self, set_idx: usize) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.sets[set_idx].iter().map(|l| l.tag)
-    }
-
-    /// An address (distinct from `addr`'s line) that maps to the same
-    /// set, `n` conflict slots away. Used to build eviction sets.
-    /// Wraps around the address space: set geometry is power-of-two, so
-    /// the wrapped address still indexes the same set.
-    #[must_use]
-    pub fn conflicting_addr(&self, addr: u64, n: usize) -> u64 {
-        let stride = (self.cfg.sets * self.cfg.line) as u64;
-        self.line_addr(addr)
-            .wrapping_add(stride.wrapping_mul(n as u64 + 1))
+    pub fn resident_lines(&self, set_idx: usize) -> impl Iterator<Item = u64> + '_ {
+        self.set(set_idx)
+            .iter()
+            .filter(|w| w.stamp != 0)
+            .map(|w| w.tag)
     }
 }
 
@@ -274,34 +238,17 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn tiny(ways: usize, replacement: Replacement) -> Cache {
-        Cache::new(
-            CacheConfig {
-                sets: 4,
-                ways,
-                line: 16,
-                replacement,
-            },
-            42,
-        )
-    }
-
-    #[test]
-    fn new_preallocates_every_set() {
-        let c = Cache::new(CacheConfig::l2(), 0);
-        for (i, set) in c.sets.iter().enumerate() {
-            assert!(
-                set.capacity() >= c.cfg.ways,
-                "set {i} holds {} of {} ways",
-                set.capacity(),
-                c.cfg.ways
-            );
-        }
+    fn tiny(ways: usize) -> Cache {
+        Cache::new(CacheConfig {
+            sets: 4,
+            ways,
+            line: 16,
+        })
     }
 
     #[test]
     fn hit_after_fill() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         assert!(!c.access(0x100).is_hit());
         assert!(c.access(0x100).is_hit());
         assert!(c.access(0x10f).is_hit(), "same line");
@@ -310,7 +257,7 @@ mod tests {
 
     #[test]
     fn set_index_and_line_addr() {
-        let c = tiny(2, Replacement::Lru);
+        let c = tiny(2);
         assert_eq!(c.set_index(0x00), 0);
         assert_eq!(c.set_index(0x10), 1);
         assert_eq!(c.set_index(0x40), 0, "wraps mod sets");
@@ -319,7 +266,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.access(0x000); // set 0
         c.access(0x040); // set 0
         c.access(0x000); // refresh
@@ -330,19 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn random_replacement_evicts_some_resident_line() {
-        let mut c = tiny(2, Replacement::Random);
-        c.access(0x000);
-        c.access(0x040);
-        match c.access(0x080) {
-            CacheOutcome::Miss { evicted: Some(t) } => assert!(t == 0x000 || t == 0x040),
-            other => panic!("expected eviction, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn probe_does_not_disturb_lru() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.access(0x000);
         c.access(0x040);
         // Probing 0x000 must not refresh it...
@@ -356,34 +292,29 @@ mod tests {
 
     #[test]
     fn flush_line_removes_only_target() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.access(0x000);
         c.access(0x040);
         assert!(c.flush_line(0x000));
         assert!(!c.flush_line(0x000), "already gone");
         assert!(!c.probe(0x000));
         assert!(c.probe(0x040));
+        assert_eq!(
+            c.access(0x080),
+            CacheOutcome::Miss { evicted: None },
+            "the flushed way refills before the LRU line goes"
+        );
     }
 
     #[test]
-    fn flush_all_empties() {
-        let mut c = tiny(2, Replacement::Lru);
+    fn reset_empties_every_way() {
+        let mut c = tiny(2);
         c.access(0x000);
         c.access(0x010);
-        c.flush_all();
+        c.reset();
         assert!(!c.probe(0x000));
         assert!(!c.probe(0x010));
-    }
-
-    #[test]
-    fn conflicting_addrs_share_a_set() {
-        let c = Cache::new(CacheConfig::l1d(), 0);
-        let a = 0x1234;
-        for n in 0..8 {
-            let e = c.conflicting_addr(a, n);
-            assert_eq!(c.set_index(e), c.set_index(a));
-            assert_ne!(c.line_addr(e), c.line_addr(a));
-        }
+        assert_eq!(c.resident_lines(0).count(), 0);
     }
 
     #[test]
@@ -394,10 +325,10 @@ mod tests {
 
     #[test]
     fn filling_a_set_beyond_ways_keeps_ways_lines() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         for i in 0..10u64 {
             c.access(i * 0x40); // all set 0
         }
-        assert_eq!(c.resident_lines(0).len(), 2);
+        assert_eq!(c.resident_lines(0).count(), 2);
     }
 }

@@ -84,11 +84,9 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Capacity-preserving restore: both levels rewind via
-    /// [`Cache::restore_from`], so a checkpoint restore reuses the set
-    /// allocations already at their high-water marks. Destructured
-    /// exhaustively, so a new field that no restore copies fails to
-    /// compile.
+    /// In-place restore: both levels rewind via [`Cache::restore_from`],
+    /// reusing their way arrays. Destructured exhaustively, so a new
+    /// field that no restore copies fails to compile.
     pub(crate) fn restore_from(&mut self, src: &Hierarchy) {
         let Hierarchy {
             l1,
@@ -104,26 +102,25 @@ impl Hierarchy {
         self.l2_detached = *l2_detached;
     }
 
-    /// Builds a hierarchy from per-level geometry and latencies. `seed`
-    /// drives random replacement (if configured).
+    /// Builds a hierarchy from per-level geometry and latencies.
     #[must_use]
-    pub fn new(l1: CacheConfig, l2: CacheConfig, lat: MemLatency, seed: u64) -> Hierarchy {
+    pub fn new(l1: CacheConfig, l2: CacheConfig, lat: MemLatency) -> Hierarchy {
         Hierarchy {
-            l1: Cache::new(l1, seed ^ 0x1),
-            l2: Cache::new(l2, seed ^ 0x2),
+            l1: Cache::new(l1),
+            l2: Cache::new(l2),
             lat,
             suppressed_prefetches: 0,
             l2_detached: false,
         }
     }
 
-    /// Empties both levels and reseeds replacement, keeping allocations.
-    /// Equivalent to [`Hierarchy::new`] with the same geometry and
-    /// `seed` — except that the detached-L2 marker survives: resetting a
-    /// core does not reattach an L2 its multicore harness owns.
-    pub fn reset(&mut self, seed: u64) {
-        self.l1.reset(seed ^ 0x1);
-        self.l2.reset(seed ^ 0x2);
+    /// Empties both levels, keeping allocations. Equivalent to
+    /// [`Hierarchy::new`] with the same geometry — except that the
+    /// detached-L2 marker survives: resetting a core does not reattach
+    /// an L2 its multicore harness owns.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
         self.suppressed_prefetches = 0;
     }
 
@@ -224,12 +221,6 @@ impl Hierarchy {
         self.l2.flush_line(addr);
     }
 
-    /// Empties every level.
-    pub fn flush_all(&mut self) {
-        self.l1.flush_all();
-        self.l2.flush_all();
-    }
-
     /// The configured latencies.
     #[must_use]
     pub fn latency(&self) -> MemLatency {
@@ -268,7 +259,7 @@ mod tests {
     use super::*;
 
     fn h() -> Hierarchy {
-        Hierarchy::new(CacheConfig::l1d(), CacheConfig::l2(), MemLatency::default(), 7)
+        Hierarchy::new(CacheConfig::l1d(), CacheConfig::l2(), MemLatency::default())
     }
 
     #[test]

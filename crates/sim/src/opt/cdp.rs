@@ -82,7 +82,6 @@ mod tests {
                 CacheConfig::l1d(),
                 CacheConfig::l2(),
                 MemLatency::default(),
-                3,
             ),
             EventBus::new(),
         )

@@ -285,7 +285,6 @@ mod tests {
                 CacheConfig::l1d(),
                 CacheConfig::l2(),
                 MemLatency::default(),
-                1,
             ),
             bus: EventBus::new(),
         }

@@ -246,7 +246,7 @@ impl PipelineState {
         }
         PipelineState {
             mem: Memory::new(cfg.mem_size),
-            hier: Hierarchy::new(cfg.l1d, cfg.l2, cfg.mem_latency, cfg.seed),
+            hier: Hierarchy::new(cfg.l1d, cfg.l2, cfg.mem_latency),
             cycle: 0,
             next_seq: 0,
             halted: false,
@@ -278,10 +278,9 @@ impl PipelineState {
     }
 
     /// Rewinds to the post-construction state while keeping every
-    /// allocation (PRF vectors, queues, memory backing, cache sets) and
-    /// the loaded program. The event bus is cleared and the trace
-    /// disabled; caches are reseeded from the configured seed so replay
-    /// is deterministic.
+    /// allocation (PRF vectors, queues, memory backing, cache arrays)
+    /// and the loaded program. The event bus is cleared, the trace
+    /// disabled and the caches emptied.
     pub(crate) fn reset(&mut self) {
         self.cycle = 0;
         self.next_seq = 0;
@@ -313,7 +312,7 @@ impl PipelineState {
         self.mem
             .clear(0, self.cfg.mem_size)
             .expect("whole-memory clear is in bounds");
-        self.hier.reset(self.cfg.seed);
+        self.hier.reset();
         self.bus.reset();
         self.last_progress_cycle = 0;
     }

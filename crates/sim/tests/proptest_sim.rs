@@ -3,9 +3,78 @@
 
 use pandora_isa::{Asm, Reg, Width};
 use pandora_sim::{
-    Cache, CacheConfig, FaultPlan, Hierarchy, Machine, MemLatency, Memory, Replacement, SimConfig,
+    Cache, CacheConfig, CacheOutcome, FaultPlan, Hierarchy, Machine, MemLatency, Memory, SimConfig,
 };
 use proptest::prelude::*;
+
+/// Sets and line size of the reference-model test: four sets of 16 B
+/// lines, so addresses below 4 KiB put 64 lines on every set.
+const MODEL_SETS: usize = 4;
+const MODEL_LINE: u64 = 16;
+
+/// A reference LRU cache kept as one list per set: a miss pushes while
+/// the set is not full and otherwise replaces the line with the
+/// smallest stamp; a flush removes the line from its list.
+struct LruLists {
+    ways: usize,
+    sets: Vec<Vec<(u64, u64)>>,
+    clock: u64,
+}
+
+impl LruLists {
+    fn new(ways: usize) -> LruLists {
+        LruLists {
+            ways,
+            sets: vec![Vec::new(); MODEL_SETS],
+            clock: 0,
+        }
+    }
+
+    /// The set and line address of `addr`.
+    fn locate(addr: u64) -> (usize, u64) {
+        (
+            (addr / MODEL_LINE) as usize % MODEL_SETS,
+            addr & !(MODEL_LINE - 1),
+        )
+    }
+
+    fn access(&mut self, addr: u64) -> CacheOutcome {
+        self.clock += 1;
+        let (set_idx, tag) = LruLists::locate(addr);
+        let set = &mut self.sets[set_idx];
+        if let Some(line) = set.iter_mut().find(|(t, _)| *t == tag) {
+            line.1 = self.clock;
+            return CacheOutcome::Hit;
+        }
+        if set.len() < self.ways {
+            set.push((tag, self.clock));
+            return CacheOutcome::Miss { evicted: None };
+        }
+        let victim = (0..set.len()).min_by_key(|&i| set[i].1).unwrap();
+        let old = set[victim].0;
+        set[victim] = (tag, self.clock);
+        CacheOutcome::Miss { evicted: Some(old) }
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        let (set_idx, tag) = LruLists::locate(addr);
+        self.sets[set_idx].iter().any(|(t, _)| *t == tag)
+    }
+
+    fn flush_line(&mut self, addr: u64) -> bool {
+        let (set_idx, tag) = LruLists::locate(addr);
+        let set = &mut self.sets[set_idx];
+        let before = set.len();
+        set.retain(|(t, _)| *t != tag);
+        set.len() != before
+    }
+
+    fn resident_lines(&self, set_idx: usize) -> Vec<u64> {
+        let mut tags: Vec<u64> = self.sets[set_idx].iter().map(|(t, _)| *t).collect();
+        tags.sort_unstable();
+        tags
+    }
+}
 
 fn width_strategy() -> impl Strategy<Value = Width> {
     prop_oneof![
@@ -50,8 +119,8 @@ proptest! {
     }
 
     #[test]
-    fn cache_access_makes_line_resident(addr: u64, seed: u64) {
-        let mut c = Cache::new(CacheConfig::l1d(), seed);
+    fn cache_access_makes_line_resident(addr: u64) {
+        let mut c = Cache::new(CacheConfig::l1d());
         c.access(addr);
         prop_assert!(c.probe(addr));
         prop_assert!(c.probe(c.line_addr(addr)));
@@ -59,7 +128,7 @@ proptest! {
 
     #[test]
     fn cache_flush_removes_exactly_the_line(addr: u64, other: u64) {
-        let mut c = Cache::new(CacheConfig::l1d(), 0);
+        let mut c = Cache::new(CacheConfig::l1d());
         c.access(addr);
         c.access(other);
         c.flush_line(addr);
@@ -70,40 +139,36 @@ proptest! {
     }
 
     #[test]
-    fn conflicting_addrs_always_share_a_set(addr: u64, n in 0usize..16) {
-        for cfg in [CacheConfig::l1d(), CacheConfig::l2()] {
-            let c = Cache::new(cfg, 0);
-            let e = c.conflicting_addr(addr, n);
-            prop_assert_eq!(c.set_index(e), c.set_index(addr));
-            prop_assert_ne!(c.line_addr(e), c.line_addr(addr));
-        }
-    }
-
-    #[test]
-    fn lru_set_never_exceeds_ways(
-        addrs in prop::collection::vec(any::<u64>(), 1..200),
-        ways in 1usize..8
+    fn cache_matches_per_set_lru_lists(
+        ways in 1usize..9,
+        ops in prop::collection::vec((0u8..4, 0u64..4096), 1..300)
     ) {
-        let mut c = Cache::new(
-            CacheConfig { sets: 16, ways, line: 64, replacement: Replacement::Lru },
-            0,
-        );
-        for a in &addrs {
-            c.access(*a);
-        }
-        for set in 0..16 {
-            prop_assert!(c.resident_lines(set).len() <= ways);
+        let mut c = Cache::new(CacheConfig { sets: MODEL_SETS, ways, line: MODEL_LINE as usize });
+        let mut model = LruLists::new(ways);
+        for (op, addr) in ops {
+            // Accesses are drawn twice as often as probes or flushes, so
+            // sets fill and evict.
+            match op {
+                0 | 1 => prop_assert_eq!(c.access(addr), model.access(addr), "access {:#x}", addr),
+                2 => prop_assert_eq!(c.probe(addr), model.probe(addr), "probe {:#x}", addr),
+                _ => prop_assert_eq!(
+                    c.flush_line(addr),
+                    model.flush_line(addr),
+                    "flush {:#x}",
+                    addr
+                ),
+            }
+            for set in 0..MODEL_SETS {
+                let mut lines: Vec<u64> = c.resident_lines(set).collect();
+                lines.sort_unstable();
+                prop_assert_eq!(lines, model.resident_lines(set), "set {} after {:#x}", set, addr);
+            }
         }
     }
 
     #[test]
-    fn second_access_is_always_faster(addr: u64, seed: u64) {
-        let mut h = Hierarchy::new(
-            CacheConfig::l1d(),
-            CacheConfig::l2(),
-            MemLatency::default(),
-            seed,
-        );
+    fn second_access_is_always_faster(addr: u64) {
+        let mut h = Hierarchy::new(CacheConfig::l1d(), CacheConfig::l2(), MemLatency::default());
         let first = h.access(addr).latency;
         let second = h.access(addr).latency;
         prop_assert!(second <= first);

@@ -24,8 +24,8 @@
 //!   code.
 //! * [`sandbox`] — an eBPF-like bytecode, verifier and compiler (the DMP
 //!   attack setting).
-//! * [`channels`] — Prime+Probe / Evict+Time receivers and timing
-//!   statistics.
+//! * [`channels`] — timed-probe receivers, a cache covert channel and
+//!   timing statistics.
 //! * [`attacks`] — the end-to-end proofs of concept: the silent-store
 //!   amplification gadget, BSAES key recovery, the 3-level IMP universal
 //!   read gadget, and equality-oracle replay attacks for the remaining

@@ -1,8 +1,8 @@
 //! Steady-state allocation audit for the simulator hot loop.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warmup long enough for every pipeline scratch buffer, cache set, ROB
-//! ring and event-bus buffer to reach its high-water mark, 10k further
+//! warmup long enough for every pipeline scratch buffer, ROB ring and
+//! event-bus buffer to reach its high-water mark, 10k further
 //! [`Machine::step`] calls must perform **zero** heap allocations. This
 //! pins the tentpole property of the allocation-free cycle loop: the
 //! per-cycle `Uop` clones, rename `srcs` collects, store-resolution
