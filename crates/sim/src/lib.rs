@@ -40,7 +40,6 @@
 pub mod config;
 pub mod duo;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod fleet;
 pub mod func;
@@ -54,7 +53,6 @@ pub mod trace;
 
 pub use config::{LatencyConfig, OptConfig, PipelineConfig, ReuseKey, RfcMatch, SimConfig};
 pub use opt::value_pred::VpKind;
-pub use event::{EventBus, PrefetchSource, SimEvent, SquashReason, StallReason};
 pub use func::{EmuError, Emulator};
 pub use duo::DuoMachine;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

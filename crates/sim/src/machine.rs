@@ -12,9 +12,9 @@
 //! The pipeline itself lives in the `pipeline` module, one function
 //! per stage; the seven Table I optimization classes are the fields of
 //! one `Hooks` struct built from the config, so a [`Machine`] is
-//! "baseline stages + the enabled classes". All cross-cutting
-//! observation (statistics, trace, DMP patterns) flows through the
-//! state's single [`crate::event::EventBus`]. Fault injection
+//! "baseline stages + the enabled classes". A run is observed through
+//! two records, both written where the event happens: the [`SimStats`]
+//! counters and the optional [`Trace`]. Fault injection
 //! ([`Machine::inject_faults`]) and environmental noise ride the same
 //! struct.
 //!
@@ -185,35 +185,30 @@ impl Machine {
     /// Statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &SimStats {
-        self.state.bus.stats()
+        &self.state.stats
     }
 
-    /// Enables microarchitectural event tracing.
+    /// Enables microarchitectural event tracing until the next
+    /// [`Machine::reset_to`].
     pub fn enable_trace(&mut self) {
-        self.state.bus.trace_mut().enable();
+        self.state.trace.enable();
     }
 
-    /// The event trace recorded so far.
+    /// The event trace recorded so far, including the IMP's confirmed
+    /// indirections ([`crate::TraceEvent::DmpPattern`]).
     #[must_use]
     pub fn trace(&self) -> &Trace {
-        self.state.bus.trace()
-    }
-
-    /// The DMP's confirmed `(src_pc, dst_pc, base, scale)` patterns, as
-    /// retained by the event bus (empty without a DMP).
-    #[must_use]
-    pub fn dmp_patterns(&self) -> &[(usize, usize, u64, u64)] {
-        self.state.bus.dmp_patterns()
+        &self.state.trace
     }
 
     /// Rewinds the machine to the post-construction state under `cfg`
     /// — cycle 0, zeroed memory and registers, cold caches and
-    /// predictors, fresh statistics, no fault plan — the fleet
-    /// primitive for recycling one allocated machine across the trials
-    /// of a sweep whose members differ only in seeds, noise,
-    /// optimization switches, latencies, or watchdog settings. Pass the
-    /// machine's own config ([`Machine::config`]) to re-run the same
-    /// trial.
+    /// predictors, fresh statistics, an empty and disabled trace, no
+    /// fault plan — the fleet primitive for recycling one allocated
+    /// machine across the trials of a sweep whose members differ only
+    /// in seeds, noise, optimization switches, latencies, or watchdog
+    /// settings. Pass the machine's own config ([`Machine::config`]) to
+    /// re-run the same trial.
     ///
     /// When [`SimConfig::same_shape`] holds between the current and new
     /// configs, the machine rewinds in place — every buffer survives at
@@ -378,7 +373,7 @@ impl Machine {
             }
             self.step()?;
         }
-        Ok(*self.state.bus.stats())
+        Ok(self.state.stats)
     }
 
     /// Advances the machine one cycle: stages tick in reverse pipeline
@@ -391,12 +386,11 @@ impl Machine {
     pub fn step(&mut self) -> Result<(), SimError> {
         let st = &mut self.state;
         st.cycle += 1;
-        st.bus.begin_cycle(st.cycle);
         let hooks = &mut self.hooks;
         hooks.on_cycle_start(st);
         commit::tick(st, hooks)?;
         if st.halted {
-            st.bus.set_cycles(st.cycle);
+            st.stats.cycles = st.cycle;
             return Ok(());
         }
         lsq::tick(st, hooks)?;
@@ -404,7 +398,7 @@ impl Machine {
         issue::tick(st, hooks)?;
         rename::tick(st, hooks)?;
         fetch::tick(st);
-        st.bus.set_cycles(st.cycle);
+        st.stats.cycles = st.cycle;
         if st.cfg.paranoid_checks {
             st.paranoid_validate()?;
         }

@@ -33,8 +33,7 @@
 //!    `stall_permille` per mille, fetch stalls for 1–3 cycles,
 //!    modeling frontend interference (shared fetch bandwidth, SMT).
 //!
-//! Every disturbance that takes effect emits
-//! [`SimEvent::NoiseInjected`], counted in
+//! Every disturbance that takes effect is counted where it happens, in
 //! [`SimStats::noise_events`](crate::SimStats::noise_events).
 //!
 //! [`SimConfig`]: crate::SimConfig
@@ -44,7 +43,6 @@ use pandora_isa::{Asm, Program, Reg};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::event::SimEvent;
 use crate::mem::hierarchy::PrefetchFill;
 use crate::pipeline::PipelineState;
 
@@ -189,19 +187,19 @@ impl NoiseHook {
         if n.evict_permille > 0 && self.env.gen_range(0u16..1000) < n.evict_permille {
             let addr = self.env.gen_range(lo..hi);
             st.hier.flush_line(addr);
-            st.bus.emit(SimEvent::NoiseInjected);
+            st.stats.noise_events += 1;
         }
         if n.fill_permille > 0 && self.env.gen_range(0u16..1000) < n.fill_permille {
             let addr = self.env.gen_range(lo..hi);
             st.hier.prefetch(addr, PrefetchFill::AllLevels);
-            st.bus.emit(SimEvent::NoiseInjected);
+            st.stats.noise_events += 1;
         }
         if n.stall_permille > 0 && self.env.gen_range(0u16..1000) < n.stall_permille {
             let until = st.cycle + self.env.gen_range(1u64..4);
             if until > st.fetch_stall_until {
                 st.fetch_stall_until = until;
             }
-            st.bus.emit(SimEvent::NoiseInjected);
+            st.stats.noise_events += 1;
         }
     }
 

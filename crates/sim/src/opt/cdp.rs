@@ -10,12 +10,17 @@
 //! pointer-shaped value at rest in a touched line has its target line
 //! filled**, revealing the value itself through the cache channel,
 //! regardless of how (or whether) the program computes on it.
+//!
+//! Each chase counts one `cdp_prefetches` and traces a `DmpDeref` of
+//! the pointer's slot and a `DmpPrefetch` of its target. The
+//! dereference is not counted: `dmp_deref_reads` is the IMP's.
 
 use pandora_isa::Width;
 
-use crate::event::{EventBus, PrefetchSource, SimEvent};
-use crate::mem::hierarchy::{Hierarchy, PrefetchFill};
+use crate::mem::hierarchy::PrefetchFill;
 use crate::mem::memory::Memory;
+use crate::pipeline::PipelineState;
+use crate::trace::TraceEvent;
 
 /// The content-directed prefetcher.
 #[derive(Clone, Copy, Debug)]
@@ -42,25 +47,26 @@ impl Cdp {
     }
 
     /// Feeds one committed load: scans the loaded line for candidate
-    /// pointers and prefetches their targets, reporting each chase
-    /// through the event bus.
-    pub fn observe(&self, addr: u64, mem: &Memory, hier: &mut Hierarchy, bus: &mut EventBus) {
+    /// pointers and prefetches their targets, counting each prefetch
+    /// and tracing each chase.
+    pub(crate) fn observe(&self, addr: u64, st: &mut PipelineState) {
         let line_base = addr & !(self.line - 1);
         for off in (0..self.line).step_by(8) {
-            let Ok(v) = mem.read(line_base + off, Width::Dword) else {
+            let Ok(v) = st.mem.read(line_base + off, Width::Dword) else {
                 continue;
             };
-            if Cdp::looks_like_pointer(v, mem) {
-                hier.prefetch(v, self.fill);
-                // Trace-only for the CDP: only the IMP's dereferences
-                // feed a stats counter.
-                bus.emit_trace_only(|| SimEvent::PointerDeref {
-                    source: PrefetchSource::Cdp,
+            if Cdp::looks_like_pointer(v, &st.mem) {
+                st.hier.prefetch(v, self.fill);
+                // Traced but not counted: `dmp_deref_reads` counts the
+                // IMP's dereferences only.
+                st.trace.push(TraceEvent::DmpDeref {
+                    cycle: st.cycle,
                     addr: line_base + off,
                     value: v,
                 });
-                bus.emit(SimEvent::Prefetch {
-                    source: PrefetchSource::Cdp,
+                st.stats.cdp_prefetches += 1;
+                st.trace.push(TraceEvent::DmpPrefetch {
+                    cycle: st.cycle,
                     addr: v,
                     level: 1,
                 });
@@ -72,51 +78,45 @@ impl Cdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::cache::CacheConfig;
-    use crate::mem::hierarchy::MemLatency;
+    use crate::config::SimConfig;
 
-    fn rig() -> (Memory, Hierarchy, EventBus) {
-        (
-            Memory::new(1 << 16),
-            Hierarchy::new(
-                CacheConfig::l1d(),
-                CacheConfig::l2(),
-                MemLatency::default(),
-            ),
-            EventBus::new(),
-        )
+    fn rig() -> PipelineState {
+        PipelineState::new(SimConfig {
+            mem_size: 1 << 16,
+            ..SimConfig::default()
+        })
     }
 
     #[test]
     fn pointer_shaped_values_get_their_targets_prefetched() {
-        let (mut mem, mut hier, mut bus) = rig();
+        let mut st = rig();
         // A line holding one secret pointer among non-pointers.
-        mem.write_u64(0x1000, 0x4321).unwrap(); // unaligned value: not a pointer
-        mem.write_u64(0x1008, 0x8000).unwrap(); // the secret pointer
-        mem.write_u64(0x1010, 0).unwrap(); // null: not a pointer
+        st.mem.write_u64(0x1000, 0x4321).unwrap(); // unaligned value: not a pointer
+        st.mem.write_u64(0x1008, 0x8000).unwrap(); // the secret pointer
+        st.mem.write_u64(0x1010, 0).unwrap(); // null: not a pointer
         let cdp = Cdp::new(64, PrefetchFill::AllLevels);
-        cdp.observe(0x1000, &mem, &mut hier, &mut bus);
-        assert!(hier.in_l1(0x8000), "the pointed-to line must be filled");
-        assert!(!hier.in_l1(0x4321 & !63), "non-pointer value ignored");
-        assert_eq!(bus.stats().cdp_prefetches, 1);
+        cdp.observe(0x1000, &mut st);
+        assert!(st.hier.in_l1(0x8000), "the pointed-to line must be filled");
+        assert!(!st.hier.in_l1(0x4321 & !63), "non-pointer value ignored");
+        assert_eq!(st.stats.cdp_prefetches, 1);
     }
 
     #[test]
     fn out_of_memory_values_are_not_chased() {
-        let (mut mem, mut hier, mut bus) = rig();
-        mem.write_u64(0x1000, 1 << 40).unwrap();
+        let mut st = rig();
+        st.mem.write_u64(0x1000, 1 << 40).unwrap();
         let cdp = Cdp::new(64, PrefetchFill::AllLevels);
-        cdp.observe(0x1000, &mem, &mut hier, &mut bus);
-        assert_eq!(bus.stats().cdp_prefetches, 0);
+        cdp.observe(0x1000, &mut st);
+        assert_eq!(st.stats.cdp_prefetches, 0);
     }
 
     #[test]
     fn scans_the_whole_line_not_just_the_accessed_word() {
-        let (mut mem, mut hier, mut bus) = rig();
-        mem.write_u64(0x1038, 0x9000).unwrap(); // last word of the line
+        let mut st = rig();
+        st.mem.write_u64(0x1038, 0x9000).unwrap(); // last word of the line
         let cdp = Cdp::new(64, PrefetchFill::AllLevels);
-        cdp.observe(0x1000, &mem, &mut hier, &mut bus);
-        assert!(hier.in_l1(0x9000));
+        cdp.observe(0x1000, &mut st);
+        assert!(st.hier.in_l1(0x9000));
     }
 
     #[test]

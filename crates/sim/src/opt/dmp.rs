@@ -14,15 +14,20 @@
 //! (Fig 1), while the 2-level IMP leaks only a `Δ`-element window past
 //! the stream array (§IV-D4). Both behaviours fall out of this model
 //! and are asserted by the workspace's integration tests.
+//!
+//! The IMP records what it does on the machine's state as it does it:
+//! it counts `dmp_prefetches`, `dmp_deref_reads` and `dmp_dropped`, and
+//! traces each prefetch (`DmpPrefetch`), each dereference (`DmpDeref`)
+//! and each indirection it confirms (`DmpPattern`).
 
 use std::collections::{HashMap, VecDeque};
 
 use pandora_isa::Width;
 
 use crate::config::OptConfig;
-use crate::event::{EventBus, PrefetchSource, SimEvent};
-use crate::mem::hierarchy::{Hierarchy, PrefetchFill};
-use crate::mem::memory::Memory;
+use crate::mem::hierarchy::PrefetchFill;
+use crate::pipeline::PipelineState;
+use crate::trace::TraceEvent;
 
 /// Scales (element sizes, bytes) the base-solver hypothesizes.
 const SCALES: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
@@ -105,27 +110,24 @@ impl Imp {
     }
 
     /// Feeds one committed load into the prefetcher and performs any
-    /// resulting prefetch chain against `mem`/`hier`, reporting
-    /// observation through the event bus.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe(
+    /// resulting prefetch chain against the machine's memory and
+    /// caches, counting and tracing what it does.
+    pub(crate) fn observe(
         &mut self,
         pc: usize,
         addr: u64,
         value: u64,
         width: Width,
-        mem: &Memory,
-        hier: &mut Hierarchy,
-        bus: &mut EventBus,
+        st: &mut PipelineState,
     ) {
-        self.correlate(pc, addr, width, bus);
+        self.correlate(pc, addr, width, st);
         let stream_ready = self.update_stream(pc, addr);
         self.recent.push_back(LoadObs { pc, value });
         if self.recent.len() > RECENT_WINDOW {
             self.recent.pop_front();
         }
         if stream_ready {
-            self.launch(pc, addr, width, mem, hier, bus);
+            self.launch(pc, addr, width, st);
         }
     }
 
@@ -153,8 +155,9 @@ impl Imp {
     }
 
     /// Correlates this load's *address* against recently returned
-    /// *values* to grow indirection hypotheses.
-    fn correlate(&mut self, pc: usize, addr: u64, width: Width, bus: &mut EventBus) {
+    /// *values* to grow indirection hypotheses, tracing each one it
+    /// confirms.
+    fn correlate(&mut self, pc: usize, addr: u64, width: Width, st: &mut PipelineState) {
         for obs in self.recent.iter().rev() {
             if obs.pc == pc {
                 continue;
@@ -174,7 +177,8 @@ impl Imp {
                             .iter()
                             .any(|k| k.src_pc == c.src_pc && k.dst_pc == c.dst_pc)
                     {
-                        bus.emit(SimEvent::PatternConfirmed {
+                        st.trace.push(TraceEvent::DmpPattern {
+                            cycle: st.cycle,
                             src_pc: c.src_pc,
                             dst_pc: c.dst_pc,
                             base: c.base,
@@ -200,15 +204,7 @@ impl Imp {
     /// element address is `addr`: the stream element `Δ` ahead, then up
     /// to `levels - 1` dependent indirections through the confirmed
     /// chain (`Y[Z[i+Δ]]`, `X[Y[Z[i+Δ]]]`, `W[X[Y[Z[i+Δ]]]]`, …).
-    fn launch(
-        &mut self,
-        pc: usize,
-        addr: u64,
-        width: Width,
-        mem: &Memory,
-        hier: &mut Hierarchy,
-        bus: &mut EventBus,
-    ) {
+    fn launch(&mut self, pc: usize, addr: u64, width: Width, st: &mut PipelineState) {
         let Some(stream) = self.streams.get(&pc) else {
             return;
         };
@@ -219,13 +215,14 @@ impl Imp {
 
         for level in 0..self.levels {
             // Prefetch the line for the current hop.
-            if !mem.contains(cur_addr, cur_width.bytes()) {
-                bus.emit(SimEvent::PrefetchDropped);
+            if !st.mem.contains(cur_addr, cur_width.bytes()) {
+                st.stats.dmp_dropped += 1;
                 return;
             }
-            hier.prefetch(cur_addr, self.fill);
-            bus.emit(SimEvent::Prefetch {
-                source: PrefetchSource::Imp,
+            st.hier.prefetch(cur_addr, self.fill);
+            st.stats.dmp_prefetches += 1;
+            st.trace.push(TraceEvent::DmpPrefetch {
+                cycle: st.cycle,
                 addr: cur_addr,
                 level,
             });
@@ -244,12 +241,13 @@ impl Imp {
             else {
                 return;
             };
-            let Ok(value) = mem.read(cur_addr, cur_width) else {
-                bus.emit(SimEvent::PrefetchDropped);
+            let Ok(value) = st.mem.read(cur_addr, cur_width) else {
+                st.stats.dmp_dropped += 1;
                 return;
             };
-            bus.emit(SimEvent::PointerDeref {
-                source: PrefetchSource::Imp,
+            st.stats.dmp_deref_reads += 1;
+            st.trace.push(TraceEvent::DmpDeref {
+                cycle: st.cycle,
                 addr: cur_addr,
                 value,
             });
@@ -263,16 +261,11 @@ impl Imp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptConfig;
-    use crate::mem::cache::CacheConfig;
-    use crate::mem::hierarchy::MemLatency;
-    use crate::trace::TraceEvent;
+    use crate::config::{OptConfig, SimConfig};
 
     struct Rig {
         imp: Imp,
-        mem: Memory,
-        hier: Hierarchy,
-        bus: EventBus,
+        st: PipelineState,
     }
 
     fn rig(levels: u8) -> Rig {
@@ -280,13 +273,10 @@ mod tests {
         opts.dmp_distance = 2;
         Rig {
             imp: Imp::new(&opts),
-            mem: Memory::new(1 << 16),
-            hier: Hierarchy::new(
-                CacheConfig::l1d(),
-                CacheConfig::l2(),
-                MemLatency::default(),
-            ),
-            bus: EventBus::new(),
+            st: PipelineState::new(SimConfig {
+                mem_size: 1 << 16,
+                ..SimConfig::default()
+            }),
         }
     }
 
@@ -303,21 +293,20 @@ mod tests {
     /// of bounds — the way verified sandbox code would.
     fn drive(r: &mut Rig, n: u64) {
         let observe = |r: &mut Rig, pc: usize, addr: u64, value: u64, i: u64| {
-            r.bus.begin_cycle(i);
-            r.imp
-                .observe(pc, addr, value, Width::Dword, &r.mem, &mut r.hier, &mut r.bus);
+            r.st.cycle = i;
+            r.imp.observe(pc, addr, value, Width::Dword, &mut r.st);
         };
         for i in 0..n {
             let addr_z = Z_BASE + 8 * i;
-            let z = r.mem.read_u64(addr_z).unwrap();
+            let z = r.st.mem.read_u64(addr_z).unwrap();
             observe(r, Z_PC, addr_z, z, i);
             let addr_y = Y_BASE.wrapping_add(z.wrapping_mul(8));
-            let Ok(y) = r.mem.read_u64(addr_y) else {
+            let Ok(y) = r.st.mem.read_u64(addr_y) else {
                 continue; // bounds check failed: demand code stops here
             };
             observe(r, Y_PC, addr_y, y, i);
             let addr_x = X_BASE.wrapping_add(y.wrapping_mul(64));
-            let Ok(x) = r.mem.read_u64(addr_x) else {
+            let Ok(x) = r.st.mem.read_u64(addr_x) else {
                 continue;
             };
             observe(r, X_PC, addr_x, x, i);
@@ -326,10 +315,10 @@ mod tests {
 
     fn seed_arrays(r: &mut Rig, z: &[u64], y: &[u64]) {
         for (i, &v) in z.iter().enumerate() {
-            r.mem.write_u64(Z_BASE + 8 * i as u64, v).unwrap();
+            r.st.mem.write_u64(Z_BASE + 8 * i as u64, v).unwrap();
         }
         for (i, &v) in y.iter().enumerate() {
-            r.mem.write_u64(Y_BASE + 8 * i as u64, v).unwrap();
+            r.st.mem.write_u64(Y_BASE + 8 * i as u64, v).unwrap();
         }
     }
 
@@ -350,17 +339,11 @@ mod tests {
     fn hit_counts_saturate_on_a_correlation_seen_hundreds_of_times() {
         // One value→address correlation, 300 times over: every
         // candidate it grows must saturate its hit count, not overflow.
-        let mut r = rig(2);
-        let Rig {
-            imp,
-            mem,
-            hier,
-            bus,
-        } = &mut r;
+        let Rig { mut imp, mut st } = rig(2);
         for i in 0..300 {
-            bus.begin_cycle(i);
-            imp.observe(Z_PC, Z_BASE, 3, Width::Dword, mem, hier, bus);
-            imp.observe(Y_PC, Y_BASE + 8 * 3, 0, Width::Dword, mem, hier, bus);
+            st.cycle = i;
+            imp.observe(Z_PC, Z_BASE, 3, Width::Dword, &mut st);
+            imp.observe(Y_PC, Y_BASE + 8 * 3, 0, Width::Dword, &mut st);
         }
         assert!(imp.candidates.iter().any(|c| c.hits == u8::MAX));
         let pair = |c: &&Indirection| (c.src_pc, c.dst_pc) == (Z_PC, Y_PC);
@@ -372,12 +355,10 @@ mod tests {
     fn three_level_prefetches_through_both_indirections() {
         let mut r = rig(3);
         seed_arrays(&mut r, &[3, 1, 4, 7, 5, 0, 2, 6], &[23, 5, 71, 13, 47, 2, 90, 31]);
-        r.bus.trace_mut().enable();
+        r.st.trace.enable();
         drive(&mut r, 6);
-        let l2_prefetches: Vec<u64> = r
-            .bus
-            .trace()
-            .events()
+        let events = r.st.trace.events();
+        let l2_prefetches: Vec<u64> = events
             .iter()
             .filter_map(|e| match *e {
                 TraceEvent::DmpPrefetch { addr, level: 2, .. } => Some(addr),
@@ -391,19 +372,17 @@ mod tests {
         for a in l2_prefetches {
             assert!(a >= X_BASE, "X prefetch below X base: {a:#x}");
         }
-        assert!(r.bus.stats().dmp_deref_reads > 0);
+        assert!(r.st.stats.dmp_deref_reads > 0);
     }
 
     #[test]
     fn two_level_never_dereferences_y() {
         let mut r = rig(2);
         seed_arrays(&mut r, &[3, 1, 4, 7, 5, 0, 2, 6], &[23, 5, 71, 13, 47, 2, 90, 31]);
-        r.bus.trace_mut().enable();
+        r.st.trace.enable();
         drive(&mut r, 6);
-        let max_level = r
-            .bus
-            .trace()
-            .events()
+        let events = r.st.trace.events();
+        let max_level = events
             .iter()
             .filter_map(|e| match *e {
                 TraceEvent::DmpPrefetch { level, .. } => Some(level),
@@ -424,34 +403,31 @@ mod tests {
         seed_arrays(&mut r, &[3, 1, 4, 7, 5, 0, 2, 6], &[23, 5, 71, 13, 47, 2, 90, 31]);
         // X holds bytes indexing W: X[64*y] = small values.
         for y in [23u64, 5, 71, 13, 47, 2, 90, 31] {
-            r.mem.write_u64(X_BASE + 64 * y, (y % 7) + 1).unwrap();
+            r.st.mem.write_u64(X_BASE + 64 * y, (y % 7) + 1).unwrap();
         }
-        r.bus.trace_mut().enable();
+        r.st.trace.enable();
         // Drive the 4-deep demand pattern.
         for i in 0..6u64 {
             let addr_z = Z_BASE + 8 * i;
-            let z = r.mem.read_u64(addr_z).unwrap();
+            let z = r.st.mem.read_u64(addr_z).unwrap();
             let addr_y = Y_BASE + 8 * z;
-            let y = r.mem.read_u64(addr_y).unwrap();
+            let y = r.st.mem.read_u64(addr_y).unwrap();
             let addr_x = X_BASE + 64 * y;
-            let x = r.mem.read_u64(addr_x).unwrap();
+            let x = r.st.mem.read_u64(addr_x).unwrap();
             let addr_w = W_BASE + 8 * x;
-            let w = r.mem.read_u64(addr_w).unwrap_or_default();
+            let w = r.st.mem.read_u64(addr_w).unwrap_or_default();
             for (pc, addr, value) in [
                 (Z_PC, addr_z, z),
                 (Y_PC, addr_y, y),
                 (X_PC, addr_x, x),
                 (W_PC, addr_w, w),
             ] {
-                r.bus.begin_cycle(i);
-                r.imp
-                    .observe(pc, addr, value, Width::Dword, &r.mem, &mut r.hier, &mut r.bus);
+                r.st.cycle = i;
+                r.imp.observe(pc, addr, value, Width::Dword, &mut r.st);
             }
         }
-        let max_level = r
-            .bus
-            .trace()
-            .events()
+        let events = r.st.trace.events();
+        let max_level = events
             .iter()
             .filter_map(|e| match *e {
                 TraceEvent::DmpPrefetch { level, .. } => Some(level),
@@ -460,9 +436,9 @@ mod tests {
             .max()
             .unwrap_or(0);
         assert_eq!(max_level, 3, "4-level IMP must reach W");
-        let w_prefetches = r.bus.trace().events().iter().any(|e| {
-            matches!(*e, TraceEvent::DmpPrefetch { addr, level: 3, .. } if addr >= W_BASE)
-        });
+        let w_prefetches = events.iter().any(
+            |e| matches!(*e, TraceEvent::DmpPrefetch { addr, level: 3, .. } if addr >= W_BASE),
+        );
         assert!(w_prefetches, "a W-array line must be prefetched");
     }
 
@@ -478,12 +454,10 @@ mod tests {
             &[3, 1, 4, 7, 5, 0, target_index, 2],
             &[23, 5, 71, 13, 47, 2, 90, 31],
         );
-        r.bus.trace_mut().enable();
+        r.st.trace.enable();
         drive(&mut r, 5); // prefetch distance 2 → deref reaches Z[6]
-        let y_prefetches: Vec<u64> = r
-            .bus
-            .trace()
-            .events()
+        let events = r.st.trace.events();
+        let y_prefetches: Vec<u64> = events
             .iter()
             .filter_map(|e| match *e {
                 TraceEvent::DmpPrefetch { addr, level: 1, .. } => Some(addr),
@@ -503,7 +477,7 @@ mod tests {
         // at iteration 3 (the first confident-stream iteration).
         seed_arrays(&mut r, &[3, 1, 4, 7, 5, 1 << 20, 2, 6], &[23, 5, 71, 13, 47, 2, 90, 31]);
         drive(&mut r, 5);
-        assert!(r.bus.stats().dmp_dropped > 0);
+        assert!(r.st.stats.dmp_dropped > 0);
     }
 
     #[test]
@@ -511,11 +485,10 @@ mod tests {
         let mut r = rig(2);
         // Random (non-strided) Z addresses: observe directly.
         for (i, addr) in [0x1000u64, 0x1040, 0x1008, 0x1100].into_iter().enumerate() {
-            r.bus.begin_cycle(i as u64);
-            r.imp
-                .observe(Z_PC, addr, 0, Width::Dword, &r.mem, &mut r.hier, &mut r.bus);
+            r.st.cycle = i as u64;
+            r.imp.observe(Z_PC, addr, 0, Width::Dword, &mut r.st);
         }
-        assert_eq!(r.bus.stats().dmp_prefetches, 0);
+        assert_eq!(r.st.stats.dmp_prefetches, 0);
     }
 
     #[test]
@@ -524,7 +497,7 @@ mod tests {
         seed_arrays(&mut r, &[3, 1, 4, 7, 5, 0, 2, 6], &[23, 5, 71, 13, 47, 2, 90, 31]);
         drive(&mut r, 6);
         // The stream prefetch for Z[i+Δ] must be resident.
-        assert!(r.bus.stats().dmp_prefetches > 0);
-        assert!(r.hier.in_l1(Z_BASE + 8 * 7) || r.hier.in_l2(Z_BASE + 8 * 7));
+        assert!(r.st.stats.dmp_prefetches > 0);
+        assert!(r.st.hier.in_l1(Z_BASE + 8 * 7) || r.st.hier.in_l2(Z_BASE + 8 * 7));
     }
 }

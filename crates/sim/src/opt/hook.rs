@@ -23,7 +23,6 @@
 use pandora_isa::{AluOp, FpOp, Reg, Width};
 
 use crate::config::{LatencyConfig, OptConfig, ReuseKey, SimConfig};
-use crate::event::{SimEvent, SquashReason};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::noise::NoiseHook;
 use crate::opt::cdp::Cdp;
@@ -33,7 +32,8 @@ use crate::opt::dmp::Imp;
 use crate::opt::rf_compress::RfCompressor;
 use crate::opt::silent_store::SsState;
 use crate::opt::value_pred::ValuePredictor;
-use crate::pipeline::{squash, PipelineState};
+use crate::pipeline::squash::{self, SquashReason};
+use crate::pipeline::PipelineState;
 use crate::trace::NonSilentReason;
 
 /// Result of a computation-reuse memo consultation
@@ -290,12 +290,11 @@ impl Hooks {
         width: Option<Width>,
     ) {
         let Some(addr) = addr else { return };
-        let PipelineState { mem, hier, bus, .. } = st;
         if let Some(cdp) = &self.cdp {
-            cdp.observe(addr, mem, hier, bus);
+            cdp.observe(addr, st);
         }
         if let (Some(imp), Some(width)) = (&mut self.imp, width) {
-            imp.observe(pc, addr, value, width, mem, hier, bus);
+            imp.observe(pc, addr, value, width, st);
         }
     }
 }
@@ -307,7 +306,7 @@ fn apply_fault(st: &mut PipelineState, kind: FaultKind) {
             // random and the memory small.
             if let Ok(b) = st.mem.read_u8(addr) {
                 let _ = st.mem.write_u8(addr, b ^ (1 << (bit & 7)));
-                st.bus.emit(SimEvent::FaultInjected);
+                st.stats.faults_injected += 1;
             }
         }
         FaultKind::RegBitFlip { reg, bit } => {
@@ -318,28 +317,28 @@ fn apply_fault(st: &mut PipelineState, kind: FaultKind) {
                 // in-flight readers observe the flip too.
                 let tag = st.rat[reg.index()] as usize;
                 st.prf_vals[tag] ^= mask;
-                st.bus.emit(SimEvent::FaultInjected);
+                st.stats.faults_injected += 1;
             }
         }
         FaultKind::DropPrefetches { count } => {
             st.hier.suppress_prefetches(count);
-            st.bus.emit(SimEvent::FaultInjected);
+            st.stats.faults_injected += 1;
         }
         FaultKind::EvictLine { addr } => {
             st.hier.flush_line(addr);
-            st.bus.emit(SimEvent::FaultInjected);
+            st.stats.faults_injected += 1;
         }
         FaultKind::SpuriousSquash => {
             if let Some(front) = st.rob.front() {
                 let pc = front.pc;
                 squash::squash_newer_than(st, None, pc, SquashReason::Fault);
-                st.bus.emit(SimEvent::FaultInjected);
+                st.stats.faults_injected += 1;
             }
         }
         FaultKind::DroppedCompletion => {
             if let Some(u) = st.rob.iter_mut().find(|u| u.executing && !u.done) {
                 u.done_cycle = u64::MAX;
-                st.bus.emit(SimEvent::FaultInjected);
+                st.stats.faults_injected += 1;
             }
         }
     }
@@ -438,13 +437,12 @@ mod tests {
         st.mem.write_u64(LINE + 56, PTR).unwrap();
         for i in 0..4 {
             if i == 3 {
-                st.bus.trace_mut().enable();
+                st.trace.enable();
             }
             hooks.on_commit_load(&mut st, 7, Some(LINE + 8 * i), 0, Some(Width::Dword));
         }
         let prefetched: Vec<u64> = st
-            .bus
-            .trace()
+            .trace
             .events()
             .iter()
             .filter_map(|e| match *e {

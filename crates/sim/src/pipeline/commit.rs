@@ -7,7 +7,6 @@
 //! [`Hooks::on_commit_load`].
 
 use crate::error::SimError;
-use crate::event::SimEvent;
 use crate::opt::hook::Hooks;
 
 use super::{PipelineState, UopKind};
@@ -30,7 +29,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
         match uop.kind {
             UopKind::Halt => {
                 st.halted = true;
-                st.bus.emit(SimEvent::InstrCommitted { pc: uop.pc });
+                st.stats.committed += 1;
                 return Ok(());
             }
             UopKind::Fence => {
@@ -61,7 +60,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             st.arch_regs[arch.index()] = st.val(dst);
             st.free_tag(prev);
         }
-        st.bus.emit(SimEvent::InstrCommitted { pc: uop.pc });
+        st.stats.committed += 1;
     }
     Ok(())
 }

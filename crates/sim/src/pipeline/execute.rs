@@ -9,16 +9,16 @@
 use pandora_isa::{Instr, Reg};
 
 use crate::error::SimError;
-use crate::event::{SimEvent, SquashReason};
 use crate::func::sign_extend;
 use crate::mem::memory::MemFault;
-use crate::opt::comp_simpl::{plan_alu, plan_fp, ExecPlan, PortClass};
+use crate::opt::comp_simpl::{plan_alu, plan_fp, ExecPlan, PortClass, SimplEvent};
 use crate::opt::hook::{Hooks, MemoLookup};
 use crate::opt::pipe_compress::{packable, AluSlots};
+use crate::trace::TraceEvent;
 
 use crate::config::OptConfig;
 
-use super::squash::squash_after;
+use super::squash::{squash_after, SquashReason};
 use super::{PipelineState, Seq, UopKind};
 
 /// Writes back every uop whose latency has elapsed, verifying control
@@ -67,7 +67,14 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             st.prf_ready[dst as usize] = true;
         }
         if let Some(ev) = uop.simpl_event {
-            st.bus.emit(SimEvent::Simplified(ev));
+            let s = &mut st.stats;
+            *match ev {
+                SimplEvent::TrivialSkip => &mut s.trivial_skips,
+                SimplEvent::MulSkip => &mut s.mul_skips,
+                SimplEvent::MulStrengthReduced => &mut s.mul_strength_reductions,
+                SimplEvent::DivEarlyExit => &mut s.div_early_exits,
+                SimplEvent::FpSubnormal => &mut s.fp_subnormal_slow,
+            } += 1;
         }
         if let Some((vals, srcs)) = uop.reuse_info {
             // Insert-after-invalidate hazard, Sn only: a younger
@@ -87,7 +94,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             if !st.shared_tags.contains(&dst) && hooks.rfc_compresses(uop.result, &st.arch_regs) {
                 st.shared_tags.push(dst);
                 st.live_tags -= 1;
-                st.bus.emit(SimEvent::RfcShared);
+                st.stats.rfc_shares += 1;
             }
         }
         // Control-flow verification.
@@ -112,7 +119,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
                 hooks.on_load_writeback(uop.pc, uop.result);
                 if let Some(pred) = uop.vp_pred {
                     if pred == uop.result {
-                        st.bus.emit(SimEvent::ValueConfirmed { pc: uop.pc });
+                        st.stats.vp_correct += 1;
                     } else {
                         squash_after(st, seq, uop.pc + 1, SquashReason::Value);
                         continue;
@@ -237,7 +244,7 @@ pub(crate) fn issue_store(st: &mut PipelineState, idx: usize) -> Seq {
     uop.fault = fault;
     let pc = uop.pc;
     st.note_exec_wakeup(cycle + 1);
-    st.bus.emit_trace_only(|| SimEvent::StoreResolved { pc, addr });
+    st.trace.push(TraceEvent::StoreResolved { cycle, pc, addr });
     seq
 }
 
@@ -449,9 +456,9 @@ pub(crate) fn try_issue_compute(
     }
 
     if reuse_hit {
-        st.bus.emit(SimEvent::ReuseLookup { hit: true });
+        st.stats.reuse_hits += 1;
     } else if reuse_info.is_some() {
-        st.bus.emit(SimEvent::ReuseLookup { hit: false });
+        st.stats.reuse_misses += 1;
     }
     let uop = &mut st.rob[idx];
     uop.executing = true;

@@ -9,10 +9,10 @@
 //! A/D vs C).
 
 use crate::error::SimError;
-use crate::event::SimEvent;
 use crate::opt::hook::Hooks;
 use crate::opt::pipe_compress::AluSlots;
 use crate::opt::silent_store::SsState;
+use crate::trace::TraceEvent;
 
 use super::execute::{issue_flush, issue_store, try_issue_compute, try_issue_load};
 use super::{PipelineState, UopKind};
@@ -22,8 +22,7 @@ use super::{PipelineState, UopKind};
 pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimError> {
     // Nothing waiting in the issue queue: skip the ROB walk. This
     // is observationally identical to running it — no uop can
-    // issue, no store can resolve, and the `PackedPairs` emit
-    // below would add zero to its counter (it has no trace event).
+    // issue, no store can resolve, and no ALU pair can pack.
     if st.iq_count == 0 {
         return Ok(());
     }
@@ -96,13 +95,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             }
         }
     }
-    // `PackedPairs` is a pure counter add with no trace event, so
-    // a zero-pair cycle (every cycle without the packing hook) can
-    // skip the emit without observable difference.
-    let pairs = alu.packed_pairs();
-    if pairs > 0 {
-        st.bus.emit(SimEvent::PackedPairs { pairs });
-    }
+    st.stats.packed_pairs += alu.packed_pairs();
 
     // Read-port stealing: stores whose address just resolved get an
     // SS-load if a load port is still free this cycle (Fig 4 A/D vs C).
@@ -121,7 +114,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             }
             if loads == 0 {
                 st.sq[e].ss = SsState::NoPort;
-                st.bus.emit(SimEvent::SsLoadNoPort { pc: entry.pc });
+                st.stats.ss_no_port += 1;
                 continue;
             }
             loads -= 1;
@@ -134,7 +127,12 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             st.sq[e].ss = SsState::Outstanding {
                 done_cycle: cycle + latency,
             };
-            st.bus.emit(SimEvent::SsLoadIssued { pc: entry.pc, addr });
+            st.stats.ss_loads += 1;
+            st.trace.push(TraceEvent::SsLoadIssued {
+                cycle,
+                pc: entry.pc,
+                addr,
+            });
         }
     }
     st.store_resolve_scratch = newly_resolved_stores;

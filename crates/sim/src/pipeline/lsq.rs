@@ -8,9 +8,9 @@
 //! the cache.
 
 use crate::error::SimError;
-use crate::event::SimEvent;
 use crate::opt::hook::Hooks;
 use crate::opt::silent_store::SsState;
+use crate::trace::{NonSilentReason, TraceEvent};
 
 use super::{width_mask, PipelineState};
 
@@ -66,8 +66,11 @@ fn resolve_ss_loads(st: &mut PipelineState) {
                 };
                 let silent = current == data & width_mask(e.width);
                 st.sq[i].ss = SsState::Checked { silent };
-                st.bus
-                    .emit_trace_only(|| SimEvent::SsLoadReturned { pc: e.pc, silent });
+                st.trace.push(TraceEvent::SsLoadReturned {
+                    cycle,
+                    pc: e.pc,
+                    silent,
+                });
             }
         }
     }
@@ -83,7 +86,7 @@ fn dequeue_stores(st: &mut PipelineState, hooks: &Hooks) -> Result<(), SimError>
         let pc = head.pc;
         if !head.at_head_traced {
             head.at_head_traced = true;
-            st.bus.emit_trace_only(|| SimEvent::StoreAtHead { pc });
+            st.trace.push(TraceEvent::StoreAtHead { cycle, pc });
         }
         if let Some(t) = head.performing_until {
             if cycle >= t {
@@ -105,7 +108,8 @@ fn dequeue_stores(st: &mut PipelineState, hooks: &Hooks) -> Result<(), SimError>
                 }
                 st.sq.pop_front();
                 st.last_progress_cycle = cycle;
-                st.bus.emit(SimEvent::StoreDequeued { pc });
+                st.stats.performed_stores += 1;
+                st.trace.push(TraceEvent::StoreDequeued { cycle, pc });
                 // One performed store completes per cycle.
                 break;
             }
@@ -115,7 +119,8 @@ fn dequeue_stores(st: &mut PipelineState, hooks: &Hooks) -> Result<(), SimError>
             Ok(()) => {
                 st.sq.pop_front();
                 st.last_progress_cycle = cycle;
-                st.bus.emit(SimEvent::StoreSilentDequeue { pc });
+                st.stats.silent_stores += 1;
+                st.trace.push(TraceEvent::StoreSilentDequeue { cycle, pc });
                 // Consecutive silent stores dequeue in the same cycle.
             }
             Err(reason) => {
@@ -133,7 +138,11 @@ fn dequeue_stores(st: &mut PipelineState, hooks: &Hooks) -> Result<(), SimError>
                     )));
                 };
                 head.performing_until = Some(cycle + latency);
-                st.bus.emit(SimEvent::StoreSentToCache { pc, reason });
+                if reason == NonSilentReason::SsLoadLate {
+                    st.stats.ss_late += 1;
+                }
+                st.trace
+                    .push(TraceEvent::StoreSentToCache { cycle, pc, reason });
                 break;
             }
         }

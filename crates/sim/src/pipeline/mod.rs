@@ -15,11 +15,12 @@
 //! commit → lsq → execute → issue → rename → fetch.
 //!
 //! Stages hold no state of their own — everything lives in
-//! [`PipelineState`] — and report cross-cutting observations
-//! (statistics, trace, DMP patterns) by emitting
-//! [`crate::event::SimEvent`]s on the state's [`EventBus`]. Optimization
-//! behavior reaches them only through [`crate::opt::hook::Hooks`], so
-//! the baseline stages contain no per-optimization branches.
+//! [`PipelineState`]. Each stage records what it observes where it
+//! happens: it increments the state's [`SimStats`] counter and pushes
+//! its [`crate::TraceEvent`], stamped with the current cycle, onto the
+//! state's [`Trace`]. Optimization behavior reaches them only through
+//! [`crate::opt::hook::Hooks`], so the baseline stages contain no
+//! per-optimization branches.
 
 use std::collections::VecDeque;
 
@@ -27,12 +28,13 @@ use pandora_isa::{Instr, Program, Reg, Width};
 
 use crate::config::SimConfig;
 use crate::error::{DeadlockDiagnostics, SimError};
-use crate::event::{EventBus, SimEvent};
-use crate::mem::hierarchy::Hierarchy;
+use crate::mem::hierarchy::{Hierarchy, ServedBy};
 use crate::mem::memory::{MemFault, Memory};
 use crate::opt::bpred::{Bimodal, Btb};
 use crate::opt::comp_simpl::SimplEvent;
 use crate::opt::silent_store::SsState;
+use crate::stats::SimStats;
+use crate::trace::Trace;
 
 pub(crate) mod commit;
 pub(crate) mod execute;
@@ -165,8 +167,8 @@ pub(crate) struct SqEntry {
 
 /// Everything the pipeline stages read and write: the architectural
 /// machine (program, memory, caches), the microarchitectural window
-/// (fetch buffer, rename tables, ROB, load/store queues), and the
-/// [`EventBus`] all observation flows through.
+/// (fetch buffer, rename tables, ROB, load/store queues), and the two
+/// observation records: the [`SimStats`] counters and the [`Trace`].
 ///
 /// Stage modules and optimization hooks share this one struct.
 #[derive(Clone, Debug)]
@@ -209,8 +211,10 @@ pub(crate) struct PipelineState {
     pub(crate) sq: VecDeque<SqEntry>,
     pub(crate) fences_inflight: usize,
 
-    /// The single sink for stats, trace, and pattern observation.
-    pub(crate) bus: EventBus,
+    /// The counters every receiver reads.
+    pub(crate) stats: SimStats,
+    /// The event log; off unless [`crate::Machine::enable_trace`] ran.
+    pub(crate) trace: Trace,
 
     /// Per-cycle scratch for the issue stage (stores whose address
     /// resolved this cycle); hung off the state so steady-state cycles
@@ -268,7 +272,8 @@ impl PipelineState {
             lq: VecDeque::new(),
             sq: VecDeque::new(),
             fences_inflight: 0,
-            bus: EventBus::new(),
+            stats: SimStats::default(),
+            trace: Trace::default(),
             store_resolve_scratch: Vec::new(),
             exec_wakeup: 0,
             last_progress_cycle: 0,
@@ -279,8 +284,8 @@ impl PipelineState {
 
     /// Rewinds to the post-construction state while keeping every
     /// allocation (PRF vectors, queues, memory backing, cache arrays)
-    /// and the loaded program. The event bus is cleared, the trace
-    /// disabled and the caches emptied.
+    /// and the loaded program. The stats are zeroed, the trace emptied
+    /// and disabled, and the caches emptied.
     pub(crate) fn reset(&mut self) {
         self.cycle = 0;
         self.next_seq = 0;
@@ -313,7 +318,8 @@ impl PipelineState {
             .clear(0, self.cfg.mem_size)
             .expect("whole-memory clear is in bounds");
         self.hier.reset();
-        self.bus.reset();
+        self.stats = SimStats::default();
+        self.trace.reset();
         self.last_progress_cycle = 0;
     }
 
@@ -354,7 +360,8 @@ impl PipelineState {
             lq,
             sq,
             fences_inflight,
-            bus,
+            stats,
+            trace,
             store_resolve_scratch,
             exec_wakeup,
             last_progress_cycle,
@@ -384,7 +391,8 @@ impl PipelineState {
         self.lq.clone_from(lq);
         self.sq.clone_from(sq);
         self.fences_inflight = *fences_inflight;
-        self.bus.restore_from(bus);
+        self.stats = *stats;
+        self.trace.restore_from(trace);
         self.store_resolve_scratch.clone_from(store_resolve_scratch);
         self.exec_wakeup = *exec_wakeup;
         self.last_progress_cycle = *last_progress_cycle;
@@ -504,13 +512,15 @@ impl PipelineState {
         Ok(())
     }
 
-    /// Performs a demand access, emits the served-by event, and returns
-    /// the access latency.
+    /// Performs a demand access, counts the level that served it, and
+    /// returns the access latency.
     pub(crate) fn demand_access(&mut self, addr: u64) -> u64 {
         let acc = self.hier.access(addr);
-        self.bus.emit(SimEvent::DemandAccess {
-            served_by: acc.served_by,
-        });
+        match acc.served_by {
+            ServedBy::L1 => self.stats.l1_hits += 1,
+            ServedBy::L2 => self.stats.l2_hits += 1,
+            ServedBy::Dram => self.stats.dram_accesses += 1,
+        }
         acc.latency
     }
 

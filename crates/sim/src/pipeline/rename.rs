@@ -8,7 +8,6 @@
 use pandora_isa::Instr;
 
 use crate::error::SimError;
-use crate::event::{SimEvent, StallReason};
 use crate::opt::hook::Hooks;
 use crate::opt::silent_store::SsState;
 
@@ -22,39 +21,29 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
             break;
         };
         if st.rob.len() >= p.rob_size {
-            st.bus.emit(SimEvent::DispatchStall {
-                reason: StallReason::Backend,
-            });
+            st.stats.backend_stalls += 1;
             break;
         }
         let kind = classify(&instr);
         let needs_iq = !matches!(kind, UopKind::Nop | UopKind::Fence | UopKind::Halt);
         if needs_iq && st.iq_count >= p.iq_size {
-            st.bus.emit(SimEvent::DispatchStall {
-                reason: StallReason::Backend,
-            });
+            st.stats.backend_stalls += 1;
             break;
         }
         match kind {
             UopKind::Load if st.lq.len() >= p.lq_size => {
-                st.bus.emit(SimEvent::DispatchStall {
-                    reason: StallReason::Backend,
-                });
+                st.stats.backend_stalls += 1;
                 break;
             }
             UopKind::Store if st.sq.len() >= p.sq_size => {
-                st.bus.emit(SimEvent::DispatchStall {
-                    reason: StallReason::SqFull,
-                });
+                st.stats.sq_full_stalls += 1;
                 break;
             }
             _ => {}
         }
         let dest = instr.dest();
         if dest.is_some() && st.live_tags >= p.prf_size {
-            st.bus.emit(SimEvent::DispatchStall {
-                reason: StallReason::RenamePrf,
-            });
+            st.stats.rename_stalls_prf += 1;
             break;
         }
 
@@ -123,7 +112,7 @@ pub(crate) fn tick(st: &mut PipelineState, hooks: &mut Hooks) -> Result<(), SimE
                     st.prf_vals[tag] = pred;
                     st.prf_ready[tag] = true;
                     uop.vp_pred = Some(pred);
-                    st.bus.emit(SimEvent::ValuePredicted { pc });
+                    st.stats.vp_predictions += 1;
                 }
             }
             UopKind::Store => {

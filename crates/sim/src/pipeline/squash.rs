@@ -5,9 +5,21 @@
 //! and queue allocations, so any instruction can be a squash point
 //! without checkpoints.
 
-use crate::event::{SimEvent, SquashReason};
+use crate::trace::TraceEvent;
 
 use super::{PipelineState, Seq, UopKind};
+
+/// Why the pipeline squashed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum SquashReason {
+    /// Branch misprediction; counted in `branch_squashes`.
+    Branch,
+    /// Value misprediction; counted in `vp_squashes`.
+    Value,
+    /// An injected fault ([`crate::fault::FaultKind::SpuriousSquash`]);
+    /// counted by the fault plan in `faults_injected`, not here.
+    Fault,
+}
 
 /// Squashes every uop younger than `seq` and redirects fetch to
 /// `redirect`, undoing renames by walking the ROB from the tail.
@@ -17,7 +29,8 @@ pub(crate) fn squash_after(st: &mut PipelineState, seq: Seq, redirect: usize, re
 
 /// Squashes every uop younger than `keep_upto` (all of them when
 /// `None` — the spurious-squash fault uses this to flush the whole
-/// window), redirecting fetch to `redirect`.
+/// window), redirecting fetch to `redirect`. Counts the squash under
+/// `reason` and traces the redirect.
 pub(crate) fn squash_newer_than(
     st: &mut PipelineState,
     keep_upto: Option<Seq>,
@@ -52,5 +65,13 @@ pub(crate) fn squash_newer_than(
     st.fetch_pc = redirect;
     st.fetch_stall_until = cycle + st.cfg.pipeline.redirect_penalty;
     st.fetch_blocked = st.fences_inflight > 0;
-    st.bus.emit(SimEvent::Squash { reason, redirect });
+    match reason {
+        SquashReason::Branch => st.stats.branch_squashes += 1,
+        SquashReason::Value => st.stats.vp_squashes += 1,
+        SquashReason::Fault => {}
+    }
+    st.trace.push(TraceEvent::Squash {
+        cycle,
+        pc: redirect,
+    });
 }

@@ -6,6 +6,7 @@ use crate::config::{OptConfig, SimConfig};
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::machine::Machine;
+use crate::trace::TraceEvent;
 
 fn run_prog(cfg: SimConfig, build: impl FnOnce(&mut Asm)) -> Machine {
     let mut a = Asm::new();
@@ -492,4 +493,104 @@ fn reset_keeps_the_loaded_program() {
     assert!(!m.is_halted());
     m.run(10_000).unwrap();
     assert_eq!(m.reg(Reg::T0), 7, "same program reruns after reset");
+}
+
+#[test]
+fn spurious_squash_fault_is_traced_but_counts_no_squash() {
+    // A straight-line program behind a missing load: no branch or
+    // value squash can happen, and the ROB is full of the load's
+    // dependents when the fault fires at cycle 10.
+    let mut a = Asm::new();
+    a.ld(Reg::T0, Reg::ZERO, 0x4000);
+    for _ in 0..8 {
+        a.addi(Reg::T0, Reg::T0, 1);
+    }
+    a.halt();
+    let mut m = Machine::new(SimConfig::default());
+    m.load_program(&a.assemble().unwrap());
+    m.enable_trace();
+    m.inject_faults(FaultPlan::single(10, FaultKind::SpuriousSquash));
+    m.run(1_000_000).unwrap();
+    let s = m.stats();
+    assert_eq!(s.faults_injected, 1);
+    assert_eq!((s.branch_squashes, s.vp_squashes), (0, 0));
+    let squashes: Vec<TraceEvent> = m
+        .trace()
+        .events()
+        .iter()
+        .copied()
+        .filter(|e| matches!(e, TraceEvent::Squash { .. }))
+        .collect();
+    assert_eq!(squashes, [TraceEvent::Squash { cycle: 10, pc: 0 }]);
+    assert_eq!(m.reg(Reg::T0), 8, "the squashed window re-executes");
+}
+
+/// A stride walk over 16 pointers, each one dereferenced: the IMP
+/// learns the stream and its indirection, and every loaded line holds
+/// pointers the CDP chases.
+fn pointer_walk(opts: OptConfig) -> Machine {
+    let mut a = Asm::new();
+    a.li(Reg::S0, 0x4000);
+    a.li(Reg::S1, 16);
+    a.label("walk");
+    a.ld(Reg::T0, Reg::S0, 0);
+    a.ld(Reg::T1, Reg::T0, 0);
+    a.addi(Reg::S0, Reg::S0, 64);
+    a.addi(Reg::S1, Reg::S1, -1);
+    a.bnez(Reg::S1, "walk");
+    a.halt();
+    let mut m = Machine::new(SimConfig::with_opts(opts));
+    m.load_program(&a.assemble().unwrap());
+    for i in 0..16u64 {
+        m.mem_mut()
+            .write_u64(0x4000 + 64 * i, 0x8000 + 8 * i)
+            .unwrap();
+    }
+    m.enable_trace();
+    m.run(1_000_000).unwrap();
+    m
+}
+
+fn deref_records(m: &Machine) -> u64 {
+    let derefs = m.trace().events().iter();
+    derefs
+        .filter(|e| matches!(e, TraceEvent::DmpDeref { .. }))
+        .count() as u64
+}
+
+#[test]
+fn cdp_dereferences_are_traced_and_imp_dereferences_also_counted() {
+    let cdp = pointer_walk(OptConfig {
+        cdp: true,
+        ..OptConfig::baseline()
+    });
+    assert!(cdp.stats().cdp_prefetches > 0);
+    assert!(deref_records(&cdp) > 0, "the CDP's chases are traced");
+    assert_eq!(cdp.stats().dmp_deref_reads, 0, "but not counted");
+
+    let imp = pointer_walk(OptConfig::with_dmp(2));
+    assert!(imp.stats().dmp_deref_reads > 0);
+    assert_eq!(
+        deref_records(&imp),
+        imp.stats().dmp_deref_reads,
+        "each IMP dereference is traced and counted"
+    );
+}
+
+#[test]
+fn reset_to_empties_and_disables_the_trace() {
+    let mut m = pointer_walk(OptConfig::with_dmp(2));
+    let events = m.trace().events();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::DmpPattern { .. })));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::DmpPrefetch { .. })));
+    let cfg = *m.config();
+    assert!(m.reset_to(cfg));
+    assert!(m.trace().events().is_empty(), "reset_to empties the trace");
+    let stats = m.run(1_000_000).unwrap();
+    assert!(stats.dmp_prefetches > 0, "the rerun prefetches again");
+    assert!(m.trace().events().is_empty(), "reset_to disables the trace");
 }

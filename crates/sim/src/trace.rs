@@ -3,7 +3,9 @@
 //! The trace exists to reproduce paper Figure 4 — the per-store
 //! sequence of actions under the read-port-stealing silent-store
 //! scheme — and to let tests assert on prefetcher behaviour (which
-//! addresses the IMP dereferenced, §V-B2).
+//! addresses the IMP dereferenced and which indirections it confirmed,
+//! §V-B2). Each record is pushed where its event happens, stamped with
+//! the current cycle.
 
 /// Reasons a store was *not* marked silent (Fig 4, cases B–D).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,6 +107,21 @@ pub enum TraceEvent {
         /// The value read.
         value: u64,
     },
+    /// The IMP confirmed an indirection: the value the load at `src_pc`
+    /// returns feeds the address of the load at `dst_pc` as
+    /// `base + value * scale`.
+    DmpPattern {
+        /// Cycle of the event.
+        cycle: u64,
+        /// The pointer-producing load's instruction index.
+        src_pc: usize,
+        /// The dependent load's instruction index.
+        dst_pc: usize,
+        /// The dependent access's reconstructed base address.
+        base: u64,
+        /// The reconstructed index scale.
+        scale: u64,
+    },
 }
 
 impl TraceEvent {
@@ -121,12 +138,14 @@ impl TraceEvent {
             | TraceEvent::StoreDequeued { cycle, .. }
             | TraceEvent::Squash { cycle, .. }
             | TraceEvent::DmpPrefetch { cycle, .. }
-            | TraceEvent::DmpDeref { cycle, .. } => cycle,
+            | TraceEvent::DmpDeref { cycle, .. }
+            | TraceEvent::DmpPattern { cycle, .. } => cycle,
         }
     }
 }
 
-/// An in-memory event log, enabled per run.
+/// An in-memory event log, enabled per run; a new trace is disabled
+/// and empty.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -142,27 +161,14 @@ impl Trace {
         self.enabled = *enabled;
     }
 
-    /// Creates a disabled (zero-cost) trace.
-    #[must_use]
-    pub fn new() -> Trace {
-        Trace::default()
-    }
-
     /// Turns event recording on.
-    pub fn enable(&mut self) {
+    pub(crate) fn enable(&mut self) {
         self.enabled = true;
     }
 
-    /// Whether events are being recorded.
-    #[must_use]
+    /// Records `event` if enabled: one branch when the trace is off.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records `event` if enabled.
-    #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
+    pub(crate) fn push(&mut self, event: TraceEvent) {
         if self.enabled {
             self.events.push(event);
         }
@@ -170,7 +176,7 @@ impl Trace {
 
     /// Returns to the post-construction state (disabled, empty) while
     /// keeping the event buffer's capacity for the next enabled run.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.events.clear();
         self.enabled = false;
     }
@@ -179,11 +185,6 @@ impl Trace {
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Drains and returns the recorded events.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// All events involving the store at instruction index `pc`, in
@@ -213,14 +214,14 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.push(TraceEvent::Squash { cycle: 1, pc: 0 });
         assert!(t.events().is_empty());
     }
 
     #[test]
     fn enabled_trace_records_in_order() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.enable();
         t.push(TraceEvent::StoreAtHead { cycle: 5, pc: 3 });
         t.push(TraceEvent::StoreDequeued { cycle: 9, pc: 3 });
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn store_timeline_filters_by_pc() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.enable();
         t.push(TraceEvent::StoreAtHead { cycle: 1, pc: 3 });
         t.push(TraceEvent::StoreAtHead { cycle: 2, pc: 4 });
@@ -238,14 +239,5 @@ mod tests {
         t.push(TraceEvent::StoreSilentDequeue { cycle: 4, pc: 3 });
         let tl = t.store_timeline(3);
         assert_eq!(tl.len(), 2, "squash events are not store events");
-    }
-
-    #[test]
-    fn take_drains() {
-        let mut t = Trace::new();
-        t.enable();
-        t.push(TraceEvent::Squash { cycle: 1, pc: 0 });
-        assert_eq!(t.take().len(), 1);
-        assert!(t.events().is_empty());
     }
 }

@@ -306,21 +306,25 @@ proptest! {
         let cfg = fork_cfg(opts_on, noisy, seed);
         let mut straight = Machine::new(cfg);
         straight.load_program(&prog);
+        straight.enable_trace();
         let total = straight.run(10_000_000).expect("straight run completes").cycles;
 
         // Step a second machine to a random cycle of the run and fork.
         let fork_at = pick % total;
         let mut donor = Machine::new(cfg);
         donor.load_program(&prog);
+        donor.enable_trace();
         while donor.cycle() < fork_at {
             donor.step().expect("prefix steps");
         }
         let ck = donor.snapshot();
 
-        // One fork lands on a machine that ran another program under
-        // the opposite config; the other is built from the checkpoint.
+        // One fork lands on a machine that ran another program, traced,
+        // under the opposite config; the other is built from the
+        // checkpoint.
         let mut dirty = Machine::new(fork_cfg(!opts_on, !noisy, !seed));
         dirty.load_program(&build(&other));
+        dirty.enable_trace();
         dirty.run(10_000_000).expect("dirtying run completes");
         dirty.restore(&ck);
         let forks = [("restore", dirty), ("from_checkpoint", Machine::from_checkpoint(&ck))];
@@ -328,6 +332,12 @@ proptest! {
             m.run(10_000_000).expect("forked run completes");
             let at = format!("{how} at cycle {fork_at} of {total}");
             prop_assert_eq!(m.stats(), straight.stats(), "stats after {}", at);
+            prop_assert_eq!(
+                m.trace().events(),
+                straight.trace().events(),
+                "trace after {}",
+                at
+            );
             for reg in Reg::all() {
                 prop_assert_eq!(m.reg(reg), straight.reg(reg), "register {} after {}", reg, at);
             }

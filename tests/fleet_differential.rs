@@ -1,12 +1,12 @@
 //! Differential audit of the fleet batch engine (DESIGN.md §13): a
 //! fleet member must be *bit-equal* to a lone [`Machine`] — same
 //! config, same seed, same program — for every counter in
-//! [`SimStats`], regardless of thread count, steal order, or whether
-//! the machine was freshly constructed or recycled through
-//! [`Machine::reset_to`]. Every sweep driver in the tree (fig5, fig6,
-//! E16, the covert/calibration grids) rides on this equivalence: it is
-//! what makes "refactor the loop onto the fleet" a pure performance
-//! change with byte-identical experiment output.
+//! [`SimStats`] and every trace record, regardless of thread count,
+//! steal order, or whether the machine was freshly constructed or
+//! recycled through [`Machine::reset_to`]. Every sweep driver in the
+//! tree (fig5, fig6, E16, the covert/calibration grids) rides on this
+//! equivalence: it is what makes "refactor the loop onto the fleet" a
+//! pure performance change with byte-identical experiment output.
 //!
 //! The grid deliberately mixes the shapes the real sweeps use: seed
 //! variation, noise intensities (the E16 axis), little/default/big
@@ -23,6 +23,7 @@ use pandora_isa::{Asm, Program, Reg};
 use pandora_sim::fleet::{self, DEFAULT_MAX_CYCLES};
 use pandora_sim::{
     Machine, MemberError, MemberSpec, NoiseConfig, OptConfig, SimConfig, SimError, SimStats,
+    TraceEvent,
 };
 
 /// A halting workload with enough memory traffic to exercise the cache
@@ -93,8 +94,9 @@ fn mixed_cfgs() -> Vec<SimConfig> {
 }
 
 /// Seeds the swept window so the first pass has deterministic values
-/// to read-modify-write.
+/// to read-modify-write, and turns the trace on.
 fn prep(m: &mut Machine) -> Result<(), SimError> {
+    m.enable_trace();
     for i in 0..64u64 {
         m.mem_mut()
             .write_u64(0x2_0000 + i * 8, i.wrapping_mul(0x9e37_79b9))
@@ -103,12 +105,13 @@ fn prep(m: &mut Machine) -> Result<(), SimError> {
     Ok(())
 }
 
-/// What a trial must reproduce bit for bit: its statistics and the
-/// DMP's confirmed patterns, which no statistic counts.
-type Outcome = (SimStats, Vec<(usize, usize, u64, u64)>);
+/// What a trial must reproduce bit for bit: its statistics and its
+/// whole trace, including the IMP's confirmed patterns
+/// (`TraceEvent::DmpPattern`), which no statistic counts.
+type Outcome = (SimStats, Vec<TraceEvent>);
 
 fn outcome(m: &Machine, stats: SimStats) -> Outcome {
-    (stats, m.dmp_patterns().to_vec())
+    (stats, m.trace().events().to_vec())
 }
 
 /// The reference: a lone machine, fresh construction, no fleet — the

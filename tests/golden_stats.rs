@@ -21,7 +21,7 @@ use pandora_attacks::{AmplifyGadget, BsaesAttack, FlushKind};
 use pandora_isa::{Asm, FpOp, Reg};
 use pandora_sim::{
     FaultKind, FaultPlan, Machine, NoiseConfig, OptConfig, ReuseKey, RfcMatch, SimConfig,
-    SimError, SimStats, VpKind,
+    SimError, SimStats, TraceEvent, VpKind,
 };
 
 fn printing() -> bool {
@@ -150,6 +150,16 @@ fn fig5(
     new: u64,
     faults: Option<FaultPlan>,
 ) -> Result<Machine, SimError> {
+    let mut m = fig5_machine(cfg, kind, old, new);
+    if let Some(plan) = faults {
+        m.inject_faults(plan);
+    }
+    m.run(1_000_000)?;
+    Ok(m)
+}
+
+/// The fig5 machine with its program and memory in place, not yet run.
+fn fig5_machine(cfg: SimConfig, kind: Option<FlushKind>, old: u64, new: u64) -> Machine {
     let gadget = kind.map(|k| AmplifyGadget::new(&cfg, TARGET, DELAY, k));
     let mut a = Asm::new();
     a.ld(Reg::T0, Reg::ZERO, TARGET as i64);
@@ -175,11 +185,7 @@ fn fig5(
         g.setup_memory(m.mem_mut());
         g.setup_memory_flush_variant(m.mem_mut());
     }
-    if let Some(plan) = faults {
-        m.inject_faults(plan);
-    }
-    m.run(1_000_000)?;
-    Ok(m)
+    m
 }
 
 #[test]
@@ -460,6 +466,14 @@ const ITERS: u64 = 12;
 /// result (RFC, operand packing) stored over zeroed memory (silent
 /// stores), and a final load of a pointer-dense line (CDP).
 fn opt_micro(opts: OptConfig) -> Result<SimStats, SimError> {
+    let mut m = opt_micro_machine(opts);
+    m.run(1_000_000)?;
+    Ok(*m.stats())
+}
+
+/// The microprogram's machine with its program and memory in place,
+/// not yet run.
+fn opt_micro_machine(opts: OptConfig) -> Machine {
     let mut a = Asm::new();
     a.li(Reg::S0, STRIDE_BASE);
     a.li(Reg::S1, 0);
@@ -498,8 +512,7 @@ fn opt_micro(opts: OptConfig) -> Result<SimStats, SimError> {
             .write_u64(PTR_LINE + 8 * k, DEREF_BASE + 64 * k)
             .expect("in memory");
     }
-    m.run(1_000_000)?;
-    Ok(*m.stats())
+    m
 }
 
 #[test]
@@ -672,6 +685,65 @@ fn golden_fig6_bsaes_measurements() {
 }
 
 // ---------------------------------------------------------------------
+// Whole traces: every record of two traced runs.
+// ---------------------------------------------------------------------
+
+/// A traced run's pin: the count and an FNV-1a digest of its records'
+/// `Debug` text, one record per line, with the IMP's `DmpPattern`
+/// records left out and pinned apart as their `(src_pc, dst_pc, base,
+/// scale)` list, in order.
+fn trace_pin(m: &Machine) -> (String, String) {
+    let mut patterns = Vec::new();
+    let (mut records, mut hash) = (0usize, 0xcbf2_9ce4_8422_2325_u64);
+    for e in m.trace().events() {
+        if let TraceEvent::DmpPattern {
+            src_pc,
+            dst_pc,
+            base,
+            scale,
+            ..
+        } = *e
+        {
+            patterns.push((src_pc, dst_pc, base, scale));
+            continue;
+        }
+        records += 1;
+        for b in format!("{e:?}\n").bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    (
+        format!("{records} records, fnv1a {hash:#018x}"),
+        format!("{patterns:?}"),
+    )
+}
+
+/// The Fig 4 pins above cover four store timelines only; this pins
+/// every record of two traced runs, so a dropped, added or reordered
+/// prefetch, dereference or squash record fails too. The all-classes
+/// microprogram traces stores, squashes, IMP and CDP prefetches and
+/// dereferences, and confirmed IMP patterns; the noisy fig5 gadget
+/// traces the amplified stores under noise.
+#[test]
+fn golden_whole_traces() {
+    let mut m = opt_micro_machine(all_opts());
+    m.enable_trace();
+    m.run(1_000_000).expect("microprogram completes");
+    let (records, patterns) = trace_pin(&m);
+    check_str("OPT_ALL_TRACE", &records, OPT_ALL_TRACE);
+    check_str("OPT_ALL_DMP_PATTERNS", &patterns, OPT_ALL_DMP_PATTERNS);
+
+    let mut noisy = SimConfig::with_opts(OptConfig::with_silent_stores());
+    noisy.noise = NoiseConfig::at_intensity(30, 0xfeed).with_window(0x1_0000, 0x2_0000);
+    let mut m = fig5_machine(noisy, Some(FlushKind::Contention), 41, 42);
+    m.enable_trace();
+    m.run(1_000_000).expect("noisy fig5 completes");
+    let (records, patterns) = trace_pin(&m);
+    check_str("FIG5_NOISY_TRACE", &records, FIG5_NOISY_TRACE);
+    check_str("FIG5_NOISY_DMP_PATTERNS", &patterns, "[]");
+}
+
+// ---------------------------------------------------------------------
 // Golden values (captured pre-refactor; see module docs to regenerate).
 // ---------------------------------------------------------------------
 
@@ -712,3 +784,6 @@ const OPT_RFC_ANY: SimStats = SimStats { cycles: 544, committed: 141, branch_squ
 const OPT_DMP: SimStats = SimStats { cycles: 426, committed: 141, branch_squashes: 2, vp_squashes: 0, l1_hits: 28, l2_hits: 0, dram_accesses: 11, rename_stalls_prf: 0, sq_full_stalls: 368, backend_stalls: 0, silent_stores: 0, performed_stores: 12, ss_loads: 0, ss_no_port: 0, ss_late: 0, trivial_skips: 0, mul_skips: 0, mul_strength_reductions: 0, div_early_exits: 0, fp_subnormal_slow: 0, packed_pairs: 0, reuse_hits: 0, reuse_misses: 0, vp_predictions: 0, vp_correct: 0, rfc_shares: 0, dmp_prefetches: 36, dmp_deref_reads: 18, dmp_dropped: 0, cdp_prefetches: 0, faults_injected: 0, noise_events: 0 };
 const OPT_CDP: SimStats = SimStats { cycles: 544, committed: 141, branch_squashes: 2, vp_squashes: 0, l1_hits: 23, l2_hits: 0, dram_accesses: 16, rename_stalls_prf: 0, sq_full_stalls: 368, backend_stalls: 0, silent_stores: 0, performed_stores: 12, ss_loads: 0, ss_no_port: 0, ss_late: 0, trivial_skips: 0, mul_skips: 0, mul_strength_reductions: 0, div_early_exits: 0, fp_subnormal_slow: 0, packed_pairs: 0, reuse_hits: 0, reuse_misses: 0, vp_predictions: 0, vp_correct: 0, rfc_shares: 0, dmp_prefetches: 0, dmp_deref_reads: 0, dmp_dropped: 0, cdp_prefetches: 20, faults_injected: 0, noise_events: 0 };
 const OPT_ALL: SimStats = SimStats { cycles: 391, committed: 141, branch_squashes: 2, vp_squashes: 0, l1_hits: 24, l2_hits: 0, dram_accesses: 15, rename_stalls_prf: 0, sq_full_stalls: 331, backend_stalls: 0, silent_stores: 12, performed_stores: 0, ss_loads: 12, ss_no_port: 0, ss_late: 0, trivial_skips: 13, mul_skips: 2, mul_strength_reductions: 4, div_early_exits: 12, fp_subnormal_slow: 6, packed_pairs: 12, reuse_hits: 17, reuse_misses: 68, vp_predictions: 7, vp_correct: 6, rfc_shares: 17, dmp_prefetches: 54, dmp_deref_reads: 36, dmp_dropped: 0, cdp_prefetches: 20, faults_injected: 0, noise_events: 0 };
+const OPT_ALL_TRACE: &str = "192 records, fnv1a 0x0edae2c13883432a";
+const OPT_ALL_DMP_PATTERNS: &str = "[(6, 7, 0, 1), (7, 6, 16470, 1), (7, 17, 20438, 1)]";
+const FIG5_NOISY_TRACE: &str = "36 records, fnv1a 0x94dc9c916dc9b22b";

@@ -1,9 +1,10 @@
 //! Steady-state allocation audit for the simulator hot loop.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warmup long enough for every pipeline scratch buffer, ROB ring and
-//! event-bus buffer to reach its high-water mark, 10k further
-//! [`Machine::step`] calls must perform **zero** heap allocations. This
+//! warmup long enough for every pipeline scratch buffer and ROB ring
+//! to reach its high-water mark (the trace is off, so it records
+//! nothing), 10k further [`Machine::step`] calls must perform **zero**
+//! heap allocations. This
 //! pins the tentpole property of the allocation-free cycle loop: the
 //! per-cycle `Uop` clones, rename `srcs` collects, store-resolution
 //! Vecs and tag-snapshot collects that used to dominate the profile
