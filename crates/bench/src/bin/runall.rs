@@ -46,7 +46,6 @@ usage: runall [options]
                        faults degrade the run -- combine with --allow-partial
   --breaker N          consecutive panic/deadline failures before an
                        experiment's circuit breaker opens (default 3, 0 = off)
-  --max-restarts N     replacement workers after wedges (default 4)
   --allow-partial      exit 0 even if some experiments are partial/degraded
                        (CI mode)
   --list               list registered experiments and exit
@@ -133,12 +132,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 let v = value(&mut it, "--breaker")?;
                 opts.breaker_threshold =
                     v.parse().map_err(|_| format!("bad --breaker value {v:?}"))?;
-            }
-            "--max-restarts" => {
-                let v = value(&mut it, "--max-restarts")?;
-                opts.max_worker_restarts = v
-                    .parse()
-                    .map_err(|_| format!("bad --max-restarts value {v:?}"))?;
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -290,16 +283,14 @@ fn main() -> ExitCode {
             health.io_ops,
         );
     }
-    if health.worker_restarts > 0
-        || health.workers_abandoned > 0
+    if health.workers_abandoned > 0
         || !health.breakers_open.is_empty()
         || health.journal_degraded
         || health.publish_failures > 0
     {
         println!(
-            "health: {} worker restart(s), {} abandoned, breakers open: [{}], \
-             {} publish failure(s){}",
-            health.worker_restarts,
+            "health: {} attempt thread(s) abandoned at their deadline, \
+             breakers open: [{}], {} publish failure(s){}",
             health.workers_abandoned,
             health.breakers_open.join(", "),
             health.publish_failures,

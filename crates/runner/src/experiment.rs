@@ -81,11 +81,11 @@ impl<E: std::error::Error> From<E> for Failure {
 
 /// The handle an experiment body receives: output sink, profile/seed
 /// parameters, pass-through flags and the fleet thread count.
-/// Deadlines are the supervisor's business, not the body's: a wedged
+/// Deadlines are the orchestrator's business, not the body's: a wedged
 /// attempt is abandoned from outside, never asked to stop.
 ///
 /// Cloning a `Ctx` clones the *handle*; all clones share one output
-/// buffer (that is how the supervisor salvages partial output after a
+/// buffer (that is how the orchestrator salvages partial output after a
 /// panic or a deadline overrun).
 #[derive(Clone)]
 pub struct Ctx {

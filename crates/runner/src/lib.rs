@@ -11,11 +11,12 @@
 //!   and e-experiment registered under a stable name with a *smoke* and
 //!   a *full* [`Profile`], a per-experiment wall-clock deadline, and a
 //!   configuration fingerprint.
-//! * **Orchestration** ([`run_suite`]) — a supervised thread pool with
-//!   per-experiment deadlines (the job-level analogue of the
-//!   simulator's `SimConfig::watchdog_cycles`), panic isolation via
-//!   `catch_unwind` (one wedged or crashing experiment degrades to a
-//!   recorded partial result instead of aborting the suite), and up
+//! * **Orchestration** ([`run_suite`]) — a worker pool that runs
+//!   every attempt through [`supervised::run`]: a per-experiment
+//!   deadline (the job-level analogue of the simulator's
+//!   `SimConfig::watchdog_cycles`) and panic isolation via
+//!   `catch_unwind`, so one wedged or crashing experiment degrades to
+//!   a recorded partial result instead of aborting the suite, with up
 //!   to [`SuiteOptions::max_attempts`] attempts per experiment. It is
 //!   the only way an experiment runs: `runall` runs the whole suite
 //!   through it, and each per-figure bench bin runs its one
@@ -38,9 +39,10 @@
 //!   kills at every crash point are first-class, testable inputs
 //!   (`runall --chaos`), with injection counters surfaced in the suite
 //!   report's `health` section.
-//! * **Shared infrastructure** ([`json`], [`breaker`]) — the workspace's
-//!   one JSON codec and one circuit breaker, used by the suite and by
-//!   the scan service alike.
+//! * **Shared infrastructure** ([`json`], [`breaker`], [`supervised`])
+//!   — the workspace's one JSON codec, one circuit breaker and one
+//!   deadline primitive, used by the suite and by the scan service
+//!   alike.
 //!
 //! The experiments themselves live in `pandora-bench`
 //! (`pandora_bench::experiments::registry()`); the `runall` binary
@@ -55,6 +57,7 @@ pub mod json;
 pub mod orchestrator;
 pub mod output;
 pub mod registry;
+pub mod supervised;
 
 #[doc(hidden)]
 pub mod test_util;

@@ -1,6 +1,6 @@
-//! The suite orchestrator: a *supervised* worker pool with
-//! per-experiment deadlines, panic isolation, bounded retries,
-//! circuit breakers, checkpoint/resume, and graceful storage
+//! The suite orchestrator: a worker pool that runs every experiment
+//! attempt through the [`supervised`] deadline primitive, with bounded
+//! retries, circuit breakers, checkpoint/resume, and graceful storage
 //! degradation, publishing crash-safe results.
 //!
 //! [`run_suite`] is the one way an experiment runs: `runall`, the
@@ -10,13 +10,13 @@
 //! Failure containment mirrors the simulator's own philosophy
 //! ("failures are data, not aborts", DESIGN.md §6) one level up:
 //!
-//! * a panicking experiment is caught by `catch_unwind` on its worker
+//! * a panicking attempt is caught by `catch_unwind` on its own thread
 //!   and recorded as a partial result;
-//! * a *wedged* experiment — the job-level analogue of
-//!   `SimConfig::watchdog_cycles` — trips its wall-clock deadline; the
-//!   supervisor abandons the whole worker thread, salvages whatever the
-//!   experiment had printed, and spawns a replacement worker under a
-//!   bounded restart budget with doubling backoff;
+//! * a *wedged* attempt — the job-level analogue of
+//!   `SimConfig::watchdog_cycles` — overruns its wall-clock deadline;
+//!   its thread is left behind, whatever the experiment had printed is
+//!   salvaged, and the worker goes on to the next job, so a wedge costs
+//!   one abandoned thread and never a worker;
 //! * an experiment that panics or wedges `breaker_threshold` times in
 //!   a row trips its circuit breaker and is skipped with
 //!   [`Status::Degraded`] instead of burning more suite deadline;
@@ -31,15 +31,12 @@
 //! unwritable results directory, a refused resume, a determinism
 //! mismatch) fail the suite itself.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -50,18 +47,7 @@ use crate::journal::{Journal, JournalEntry, Manifest};
 use crate::json::{obj, Json};
 use crate::output::{atomic_write, hash_str};
 use crate::registry::Registry;
-
-/// Supervisor housekeeping cadence (wedge scan, respawns).
-const SUPERVISOR_TICK: Duration = Duration::from_millis(25);
-
-/// Slack past the deadline before the supervisor declares a worker
-/// wedged — covers an experiment that finishes *at* its deadline plus
-/// event-delivery latency.
-const WEDGE_GRACE: Duration = Duration::from_millis(150);
-
-/// Delay before the first replacement worker spawns; doubles per
-/// restart already used.
-const RESTART_BACKOFF: Duration = Duration::from_millis(50);
+use crate::supervised::{self, Supervised};
 
 /// Final status of one experiment in a suite run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -76,10 +62,9 @@ pub enum Status {
         reason: String,
     },
     /// The experiment was skipped by the suite's own protection
-    /// machinery — its circuit breaker opened after repeated
-    /// panic/deadline failures, or the worker pool's restart budget ran
-    /// out. No (or only salvaged) output exists; re-running with
-    /// `--resume` retries it.
+    /// machinery: its circuit breaker opened after repeated
+    /// panic/deadline failures. No (or only salvaged) output exists;
+    /// re-running with `--resume` retries it.
     Degraded {
         /// Which protection fired.
         reason: String,
@@ -145,10 +130,8 @@ pub struct ExperimentReport {
 /// accounting. Serialized as the `health` object of `summary.json`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SuiteHealth {
-    /// Replacement workers spawned after wedges (bounded by
-    /// [`SuiteOptions::max_worker_restarts`]).
-    pub worker_restarts: u32,
-    /// Worker threads abandoned because their experiment wedged.
+    /// Attempt threads left running because their experiment overran
+    /// its deadline.
     pub workers_abandoned: u32,
     /// Names of experiments whose circuit breaker is open at suite end.
     pub breakers_open: Vec<String>,
@@ -241,7 +224,6 @@ impl SuiteReport {
             doc.push((
                 "health",
                 obj(vec![
-                    ("worker_restarts", Json::from(u64::from(h.worker_restarts))),
                     ("workers_abandoned", Json::from(u64::from(h.workers_abandoned))),
                     (
                         "breakers_open",
@@ -328,8 +310,6 @@ pub struct SuiteOptions {
     /// circuit breaker opens and remaining attempts are skipped as
     /// [`Status::Degraded`]. `0` disables breakers.
     pub breaker_threshold: u32,
-    /// Replacement workers the supervisor may spawn after wedges.
-    pub max_worker_restarts: u32,
     /// When a resume is refused (missing/corrupt manifest or journal),
     /// fall back to a fresh run instead of erroring. Used by crash
     /// recovery, where a kill may predate the manifest.
@@ -353,7 +333,6 @@ impl Default for SuiteOptions {
             args: Vec::new(),
             chaos: None,
             breaker_threshold: 3,
-            max_worker_restarts: 4,
             resume_fallback: false,
         }
     }
@@ -404,16 +383,9 @@ struct ExecOutcome {
     wall: Duration,
     /// Retries consumed.
     retries: u32,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    /// Whether the last attempt overran its deadline and its thread was
+    /// left running.
+    abandoned: bool,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -423,23 +395,6 @@ enum JobKind {
 }
 
 type Job = (usize, JobKind);
-
-/// The jobs no worker has taken yet. Every job is queued before the
-/// first worker starts, so a worker that finds the queue empty is done.
-struct JobQueue(Mutex<VecDeque<Job>>);
-
-impl JobQueue {
-    /// The next job; `None` once the queue is empty.
-    fn pop(&self) -> Option<Job> {
-        self.0.lock().unwrap_or_else(|p| p.into_inner()).pop_front()
-    }
-
-    /// Removes and returns everything still queued.
-    fn drain(&self) -> Vec<Job> {
-        let mut jobs = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        jobs.drain(..).collect()
-    }
-}
 
 /// Per-experiment circuit breakers, each with the message of its last
 /// panic/deadline failure.
@@ -468,174 +423,90 @@ fn breaker_record_crash(breakers: &Breakers, index: usize, threshold: u32, what:
     b.record_failure(threshold, u64::MAX, 0);
 }
 
-/// Worker → supervisor messages.
-enum Event {
-    /// A worker is about to run one attempt; `ctx` lets the supervisor
-    /// salvage output if the attempt wedges.
-    AttemptStarted {
-        worker: usize,
-        index: usize,
-        kind: JobKind,
-        attempt: u32,
-        deadline_at: Instant,
-        ctx: Ctx,
-    },
-    /// A worker finished a job (any status).
-    JobDone {
-        worker: usize,
-        index: usize,
-        kind: JobKind,
-        outcome: ExecOutcome,
-    },
-    /// A worker's loop ended (queue empty, or abandoned flag seen).
-    WorkerExited { worker: usize },
-}
-
-#[derive(Clone)]
-struct WorkerCfg {
-    profile: Profile,
-    seed: u64,
-    deadline_override: Option<Duration>,
-    max_attempts: u32,
-    args: Vec<String>,
-    breaker_threshold: u32,
-    fleet_threads: usize,
-}
-
-/// What the supervisor knows about a worker's current attempt.
-struct Inflight {
-    index: usize,
-    kind: JobKind,
-    attempt: u32,
-    deadline_at: Instant,
-    ctx: Ctx,
-}
-
-/// One supervised worker slot.
-struct Slot {
-    alive: Arc<AtomicBool>,
-    abandoned: bool,
-}
-
-/// Spawns a detached worker thread running jobs from `queue` until the
-/// queue is empty or its `alive` flag is cleared. Returns the flag, or
-/// `None` if the OS refused the thread.
-fn spawn_worker(
-    id: usize,
-    exps: &Arc<Vec<Experiment>>,
-    queue: &Arc<JobQueue>,
-    breakers: &Arc<Breakers>,
-    tx: &mpsc::Sender<Event>,
-    cfg: &WorkerCfg,
-) -> Option<Arc<AtomicBool>> {
-    let alive = Arc::new(AtomicBool::new(true));
-    let exps = Arc::clone(exps);
-    let queue = Arc::clone(queue);
-    let breakers = Arc::clone(breakers);
-    let tx = tx.clone();
-    let cfg = cfg.clone();
-    let flag = Arc::clone(&alive);
-    let spawned = thread::Builder::new()
-        .name(format!("pandora-worker-{id}"))
-        .spawn(move || {
-            worker_loop(id, &exps, &queue, &breakers, &tx, &cfg, &flag);
-            let _ = tx.send(Event::WorkerExited { worker: id });
-        });
-    spawned.ok().map(|_| alive)
-}
-
-/// The worker body: pop a job, run it attempt by attempt under
-/// `catch_unwind` directly on this thread (no per-attempt thread spawn
-/// — the supervisor replaces the *worker* on a wedge), honouring the
-/// circuit breaker between attempts.
-fn worker_loop(
-    id: usize,
-    exps: &Arc<Vec<Experiment>>,
-    queue: &Arc<JobQueue>,
-    breakers: &Arc<Breakers>,
-    tx: &mpsc::Sender<Event>,
-    cfg: &WorkerCfg,
-    alive: &Arc<AtomicBool>,
+/// One worker: takes jobs from `jobs` until none are left, runs each
+/// and sends its outcome to the main thread, which publishes it.
+fn work(
+    jobs: &[Job],
+    next: &AtomicUsize,
+    exps: &[&Experiment],
+    breakers: &Breakers,
+    opts: &SuiteOptions,
+    tx: &mpsc::Sender<(usize, JobKind, ExecOutcome)>,
 ) {
-    loop {
-        if !alive.load(Ordering::Relaxed) {
-            return;
+    while let Some(&(index, kind)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let outcome = run_job(exps[index], index, breakers, opts);
+        if tx.send((index, kind, outcome)).is_err() {
+            return; // the main thread stopped (a simulated kill)
         }
-        let Some((index, kind)) = queue.pop() else {
-            return;
-        };
-        let exp = &exps[index];
-        let deadline = cfg.deadline_override.unwrap_or(exp.deadline);
-        let attempts = cfg.max_attempts.max(1);
-        let start = Instant::now();
-        let mut status: Option<Status> = None;
-        let mut used: u32 = 0;
-        let mut output = String::new();
-        for i in 0..attempts {
-            if let Some(reason) = breaker_open_reason(breakers, index, cfg.breaker_threshold) {
-                status = Some(Status::Degraded { reason });
+    }
+}
+
+/// Runs experiment `exp` (row `index`) attempt by attempt, each through
+/// [`supervised::run`] on a thread named after the experiment,
+/// honouring its circuit breaker between attempts. Failures, panics
+/// and refused threads are retried; an overrun is not (a wedge would
+/// wedge again and cost another full deadline).
+fn run_job(
+    exp: &Experiment,
+    index: usize,
+    breakers: &Breakers,
+    opts: &SuiteOptions,
+) -> ExecOutcome {
+    let deadline = opts.deadline_override.unwrap_or(exp.deadline);
+    let start = Instant::now();
+    let mut status = None;
+    let mut used: u32 = 0;
+    let mut output = String::new();
+    let mut abandoned = false;
+    for attempt in 1..=opts.max_attempts.max(1) {
+        if let Some(reason) = breaker_open_reason(breakers, index, opts.breaker_threshold) {
+            status = Some(Status::Degraded { reason });
+            break;
+        }
+        used = attempt;
+        let ctx = Ctx::new(opts.profile, opts.seed, opts.args.clone())
+            .with_fleet_threads(opts.fleet_threads);
+        let (run, body) = (exp.run, ctx.clone());
+        let result = supervised::run(&format!("pandora-{}", exp.name), deadline, move || {
+            run(&body)
+        });
+        // An overrun attempt may still be writing; this is what it had
+        // printed by its deadline.
+        output = ctx.output();
+        let reason = match result {
+            Supervised::Returned(Ok(())) => {
+                breakers.lock().unwrap_or_else(|p| p.into_inner())[index]
+                    .0
+                    .record_success();
+                status = Some(Status::Ok);
                 break;
             }
-            let ctx = Ctx::new(cfg.profile, cfg.seed, cfg.args.clone())
-                .with_fleet_threads(cfg.fleet_threads);
-            used = i + 1;
-            let _ = tx.send(Event::AttemptStarted {
-                worker: id,
-                index,
-                kind,
-                attempt: i,
-                deadline_at: Instant::now() + deadline,
-                ctx: ctx.clone(),
-            });
-            let run = exp.run;
-            let result = catch_unwind(AssertUnwindSafe(|| run(&ctx)));
-            output = ctx.output();
-            if !alive.load(Ordering::Relaxed) {
-                // The supervisor gave up on this attempt (wedge) and
-                // already recorded it; vanish without a JobDone.
-                return;
+            // A plain failure or a refused thread is retryable and does
+            // not count toward the breaker (only panics and deadlines do).
+            Supervised::Returned(Err(f)) => format!("failed after {used} attempt(s): {f}"),
+            Supervised::NotStarted(e) => format!("no thread after {used} attempt(s): {e}"),
+            Supervised::Panicked(msg) => {
+                breaker_record_crash(breakers, index, opts.breaker_threshold, &msg);
+                format!("panicked after {used} attempt(s): {msg}")
             }
-            match result {
-                Ok(Ok(())) => {
-                    breakers.lock().unwrap_or_else(|p| p.into_inner())[index]
-                        .0
-                        .record_success();
-                    status = Some(Status::Ok);
-                    break;
-                }
-                Ok(Err(f)) => {
-                    // A plain failure is retryable and does not count
-                    // toward the breaker (only panics and deadlines do).
-                    status = Some(Status::Partial {
-                        reason: format!("failed after {used} attempt(s): {f}"),
-                    });
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    breaker_record_crash(breakers, index, cfg.breaker_threshold, &msg);
-                    status = Some(Status::Partial {
-                        reason: format!("panicked after {used} attempt(s): {msg}"),
-                    });
-                }
+            Supervised::Overran => {
+                let what = format!("deadline of {:.1}s exceeded", deadline.as_secs_f64());
+                breaker_record_crash(breakers, index, opts.breaker_threshold, &what);
+                abandoned = true;
+                status = Some(Status::Partial {
+                    reason: format!("{what} on attempt {used} (wedged; attempt thread abandoned)"),
+                });
+                break;
             }
-        }
-        let outcome = ExecOutcome {
-            status: status.expect("at least one attempt or a breaker verdict"),
-            output,
-            wall: start.elapsed(),
-            retries: used.saturating_sub(1),
         };
-        if tx
-            .send(Event::JobDone {
-                worker: id,
-                index,
-                kind,
-                outcome,
-            })
-            .is_err()
-        {
-            return;
-        }
+        status = Some(Status::Partial { reason });
+    }
+    ExecOutcome {
+        status: status.expect("at least one attempt or a breaker verdict"),
+        output,
+        wall: start.elapsed(),
+        retries: used.saturating_sub(1),
+        abandoned,
     }
 }
 
@@ -810,19 +681,20 @@ fn record_outcome(
 ///   deterministic facts — the crash-recovery comparison artifact),
 /// * `results/summary.json` (atomic, at suite end).
 ///
-/// Worker threads are *supervised*: a wedged worker is abandoned and
-/// replaced under [`SuiteOptions::max_worker_restarts`] with doubling
-/// backoff; repeated panic/deadline failures open a per-experiment
-/// circuit breaker ([`Status::Degraded`]). Storage faults degrade the
-/// run (see [`SuiteHealth`]) rather than aborting it.
+/// `opts.jobs` worker threads take the queued jobs and run each attempt
+/// through [`supervised::run`]; an overrun abandons that attempt's
+/// thread, and repeated panic/deadline failures open a per-experiment
+/// circuit breaker ([`Status::Degraded`]). Only the calling thread
+/// publishes and journals. Storage faults degrade the run (see
+/// [`SuiteHealth`]) rather than aborting it.
 ///
 /// # Errors
 ///
 /// [`SuiteError::ResumeRefused`] when `--resume` does not match the
 /// recorded manifest (unless [`SuiteOptions::resume_fallback`]);
 /// [`SuiteError::Crashed`] when an injected chaos kill fired;
-/// [`SuiteError::Io`] for unrecoverable filesystem failures.
-/// Per-experiment failures are *not* errors — they come back as
+/// [`SuiteError::Io`] for unrecoverable filesystem failures and a
+/// refused worker thread. Per-experiment failures are *not* errors — they come back as
 /// [`Status::Partial`] / [`Status::Degraded`] / [`Status::Failed`]
 /// rows in the report.
 #[allow(clippy::too_many_lines)]
@@ -921,13 +793,13 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
 
     // Build the job list in registry order: run / reverify / skip.
     let mut reports: Vec<Option<ExperimentReport>> = vec![None; selected.len()];
-    let mut pending: VecDeque<Job> = VecDeque::new();
+    let mut pending: Vec<Job> = Vec::new();
     let mut reverified = 0usize;
     for (i, exp) in selected.iter().enumerate() {
         match find_completed(exp.name) {
             Some(entry) if reverified < opts.reverify => {
                 reverified += 1;
-                pending.push_back((
+                pending.push((
                     i,
                     JobKind::Reverify {
                         expected_hash: entry.output_hash,
@@ -946,28 +818,47 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
                     output_bytes: entry.output_bytes,
                 });
             }
-            None => pending.push_back((i, JobKind::Run)),
+            None => pending.push((i, JobKind::Run)),
         }
     }
 
     let to_run = pending.len();
     let workers_planned = opts.jobs.max(1).min(to_run.max(1));
-    let exps: Arc<Vec<Experiment>> = Arc::new(selected.iter().map(|&e| e.clone()).collect());
-    let breakers: Arc<Breakers> = Arc::new(Mutex::new(vec![Default::default(); exps.len()]));
-
-    if to_run > 0 {
-        supervise(
-            &exps,
-            &breakers,
-            pending,
-            to_run,
-            workers_planned,
-            opts,
-            &mut journal,
-            &mut health,
-            &mut reports,
-        )?;
-    }
+    let breakers: Breakers = Mutex::new(vec![Default::default(); selected.len()]);
+    // The workers' cursor into `pending`. It only hands out indices into
+    // a list fixed before they start, so it publishes nothing: Relaxed.
+    let next = AtomicUsize::new(0);
+    thread::scope(|s| -> Result<(), SuiteError> {
+        let (tx, rx) = mpsc::channel();
+        for id in 0..workers_planned {
+            let (tx, pending, next, selected, breakers) =
+                (tx.clone(), &pending, &next, &selected, &breakers);
+            thread::Builder::new()
+                .name(format!("pandora-worker-{id}"))
+                .spawn_scoped(s, move || {
+                    work(pending, next, selected, breakers, opts, &tx)
+                })?;
+        }
+        drop(tx);
+        // Returning early drops `rx`: each worker stops after its
+        // current job, and the scope waits for that.
+        for (done, (index, kind, outcome)) in (1..).zip(rx) {
+            health.workers_abandoned += u32::from(outcome.abandoned);
+            record_outcome(
+                selected[index],
+                index,
+                kind,
+                &outcome,
+                opts,
+                &mut journal,
+                &mut health,
+                &mut reports,
+                done,
+                to_run,
+            )?;
+        }
+        Ok(())
+    })?;
 
     // Health finalization: open breakers (registry order), chaos stats.
     {
@@ -976,7 +867,7 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
             .iter()
             .enumerate()
             .filter(|(_, (b, _))| b.is_open(0))
-            .map(|(i, _)| exps[i].name.to_string())
+            .map(|(i, _)| selected[i].name.to_string())
             .collect();
     }
     if let Some(guard) = &chaos_guard {
@@ -1016,231 +907,4 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
         opts.progress,
     )?;
     Ok(report)
-}
-
-/// The supervisor loop: queue every job, start the pool, watch for
-/// wedges, respawn workers under the restart budget, and record every
-/// outcome until all `to_run` jobs are accounted for.
-#[allow(clippy::too_many_arguments)]
-fn supervise(
-    exps: &Arc<Vec<Experiment>>,
-    breakers: &Arc<Breakers>,
-    pending: VecDeque<Job>,
-    to_run: usize,
-    workers_planned: usize,
-    opts: &SuiteOptions,
-    journal: &mut Option<Journal>,
-    health: &mut SuiteHealth,
-    reports: &mut [Option<ExperimentReport>],
-) -> Result<(), SuiteError> {
-    let queue = Arc::new(JobQueue(Mutex::new(pending)));
-    let (tx, rx) = mpsc::channel::<Event>();
-    let cfg = WorkerCfg {
-        profile: opts.profile,
-        seed: opts.seed,
-        deadline_override: opts.deadline_override,
-        max_attempts: opts.max_attempts,
-        args: opts.args.clone(),
-        breaker_threshold: opts.breaker_threshold,
-        fleet_threads: opts.fleet_threads,
-    };
-
-    let mut done = 0usize;
-    let mut workers: HashMap<usize, Slot> = HashMap::new();
-    let mut inflight: HashMap<usize, Inflight> = HashMap::new();
-    let mut respawn_at: Vec<Instant> = Vec::new();
-    let mut restarts_scheduled: u32 = 0;
-    let mut next_worker_id = 0usize;
-
-    for _ in 0..workers_planned {
-        let id = next_worker_id;
-        next_worker_id += 1;
-        if let Some(alive) = spawn_worker(id, exps, &queue, breakers, &tx, &cfg) {
-            workers.insert(
-                id,
-                Slot {
-                    alive,
-                    abandoned: false,
-                },
-            );
-        }
-    }
-
-    while done < to_run {
-        // 1. Wait for (and then fully drain) worker events.
-        let mut events: Vec<Event> = Vec::new();
-        match rx.recv_timeout(SUPERVISOR_TICK) {
-            Ok(ev) => events.push(ev),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // All workers gone with jobs outstanding; the
-                // exhaustion check below drains what is left.
-            }
-        }
-        while let Ok(ev) = rx.try_recv() {
-            events.push(ev);
-        }
-        for ev in events {
-            match ev {
-                Event::AttemptStarted {
-                    worker,
-                    index,
-                    kind,
-                    attempt,
-                    deadline_at,
-                    ctx,
-                } => {
-                    if workers.get(&worker).is_some_and(|s| !s.abandoned) {
-                        inflight.insert(
-                            worker,
-                            Inflight {
-                                index,
-                                kind,
-                                attempt,
-                                deadline_at,
-                                ctx,
-                            },
-                        );
-                    }
-                }
-                Event::JobDone {
-                    worker,
-                    index,
-                    kind,
-                    outcome,
-                } => {
-                    if workers.get(&worker).is_some_and(|s| !s.abandoned) {
-                        inflight.remove(&worker);
-                        done += 1;
-                        record_outcome(
-                            &exps[index],
-                            index,
-                            kind,
-                            &outcome,
-                            opts,
-                            journal,
-                            health,
-                            reports,
-                            done,
-                            to_run,
-                        )?;
-                    }
-                }
-                Event::WorkerExited { worker } => {
-                    if workers.get(&worker).is_some_and(|s| !s.abandoned) {
-                        workers.remove(&worker);
-                    }
-                }
-            }
-        }
-
-        // 2. Wedge scan: any live attempt past deadline + grace means
-        // its worker is stuck; abandon and (budget permitting) replace.
-        let now = Instant::now();
-        let wedged: Vec<usize> = inflight
-            .iter()
-            .filter(|(w, info)| {
-                workers.get(w).is_some_and(|s| !s.abandoned) && now > info.deadline_at + WEDGE_GRACE
-            })
-            .map(|(&w, _)| w)
-            .collect();
-        for w in wedged {
-            let info = inflight.remove(&w).expect("wedged worker is inflight");
-            if let Some(slot) = workers.get_mut(&w) {
-                slot.abandoned = true;
-                slot.alive.store(false, Ordering::Relaxed);
-            }
-            health.workers_abandoned += 1;
-            let exp = &exps[info.index];
-            let deadline = opts.deadline_override.unwrap_or(exp.deadline);
-            breaker_record_crash(
-                breakers,
-                info.index,
-                opts.breaker_threshold,
-                &format!("deadline of {:.1}s exceeded", deadline.as_secs_f64()),
-            );
-            if opts.progress {
-                println!(
-                    "[pandora-runner] worker {w} wedged on {} (attempt {}); \
-                     abandoned, salvaging output",
-                    exp.name,
-                    info.attempt + 1
-                );
-            }
-            let outcome = ExecOutcome {
-                status: Status::Partial {
-                    reason: format!(
-                        "deadline of {:.1}s exceeded on attempt {} \
-                         (wedged; worker abandoned and replaced)",
-                        deadline.as_secs_f64(),
-                        info.attempt + 1
-                    ),
-                },
-                output: info.ctx.output(),
-                wall: deadline + WEDGE_GRACE,
-                retries: info.attempt,
-            };
-            done += 1;
-            record_outcome(
-                exp, info.index, info.kind, &outcome, opts, journal, health, reports, done, to_run,
-            )?;
-            if restarts_scheduled < opts.max_worker_restarts {
-                let backoff = RESTART_BACKOFF * 2u32.saturating_pow(restarts_scheduled.min(10));
-                respawn_at.push(now + backoff);
-                restarts_scheduled += 1;
-            } else if opts.progress {
-                println!("[pandora-runner] worker restart budget exhausted; not replacing");
-            }
-        }
-
-        // 3. Respawns that have served their backoff.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < respawn_at.len() {
-            if respawn_at[i] <= now {
-                respawn_at.swap_remove(i);
-                let id = next_worker_id;
-                next_worker_id += 1;
-                if let Some(alive) = spawn_worker(id, exps, &queue, breakers, &tx, &cfg) {
-                    workers.insert(
-                        id,
-                        Slot {
-                            alive,
-                            abandoned: false,
-                        },
-                    );
-                    health.worker_restarts += 1;
-                    if opts.progress {
-                        println!("[pandora-runner] spawned replacement worker {id}");
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-
-        // 4. Pool exhaustion: no live workers, none coming — drain the
-        // rest of the suite as degraded rather than hanging.
-        let active = workers.values().filter(|s| !s.abandoned).count();
-        if done < to_run && active == 0 && respawn_at.is_empty() {
-            for (index, kind) in queue.drain() {
-                let outcome = ExecOutcome {
-                    status: Status::Degraded {
-                        reason: "worker pool exhausted: wedged workers exceeded the \
-                                 restart budget"
-                            .to_string(),
-                    },
-                    output: String::new(),
-                    wall: Duration::ZERO,
-                    retries: 0,
-                };
-                done += 1;
-                record_outcome(
-                    &exps[index], index, kind, &outcome, opts, journal, health, reports, done,
-                    to_run,
-                )?;
-            }
-        }
-    }
-    Ok(())
 }

@@ -365,8 +365,8 @@ fn circuit_breaker_opens_after_repeated_panics_and_degrades() {
 }
 
 #[test]
-fn wedged_worker_is_replaced_and_the_suite_continues() {
-    let dir = TempDir::new("respawn");
+fn a_wedge_costs_its_attempt_thread_and_the_suite_continues() {
+    let dir = TempDir::new("wedge_continue");
     let registry = Registry::new()
         .with(Experiment {
             deadline: Duration::from_millis(300),
@@ -382,12 +382,11 @@ fn wedged_worker_is_replaced_and_the_suite_continues() {
     )
     .expect("suite runs");
 
-    // The wedge is recorded partial, and a *replacement* worker runs
-    // the remaining experiment to completion.
+    // The wedge is recorded partial, and the same worker runs the
+    // remaining experiment to completion.
     assert_eq!(report.experiments[0].status.keyword(), "partial");
     assert_eq!(report.experiments[1].status, Status::Ok);
     assert_eq!(report.health.workers_abandoned, 1);
-    assert!(report.health.worker_restarts >= 1);
     // Threshold 1: the single deadline failure opened stuck's breaker.
     assert_eq!(report.health.breakers_open, vec!["stuck".to_string()]);
     let summary = std::fs::read_to_string(dir.path().join("summary.json")).unwrap();
@@ -396,28 +395,35 @@ fn wedged_worker_is_replaced_and_the_suite_continues() {
 }
 
 #[test]
-fn pool_exhaustion_degrades_remaining_jobs_instead_of_hanging() {
-    let dir = TempDir::new("exhausted");
+fn wedges_cannot_starve_the_queue() {
+    let dir = TempDir::new("wedges");
+    let wedge = |name| Experiment {
+        deadline: Duration::from_millis(100),
+        ..exp(name, wedger)
+    };
     let registry = Registry::new()
-        .with(Experiment {
-            deadline: Duration::from_millis(300),
-            ..exp("stuck", wedger)
-        })
+        .with(wedge("stuck0"))
+        .with(wedge("stuck1"))
+        .with(wedge("stuck2"))
+        .with(wedge("stuck3"))
+        .with(wedge("stuck4"))
         .with(exp("good", steady));
     let report = run_suite(
         &registry,
         &SuiteOptions {
-            max_worker_restarts: 0,
+            jobs: 1,
             ..options(&dir)
         },
     )
-    .expect("suite completes without hanging");
+    .expect("suite runs");
 
-    assert_eq!(report.experiments[0].status.keyword(), "partial");
-    let good = &report.experiments[1];
-    assert_eq!(good.status.keyword(), "degraded");
-    assert!(good.status.reason().unwrap().contains("worker pool exhausted"));
-    assert_eq!(report.health.worker_restarts, 0);
-    assert_eq!(report.health.workers_abandoned, 1);
+    // One worker meets five wedges in a row and still reaches the last
+    // job: each wedge costs its attempt thread, never the worker.
+    for stuck in &report.experiments[..5] {
+        assert_eq!(stuck.status.keyword(), "partial", "{}", stuck.name);
+        assert!(stuck.status.reason().unwrap().contains("deadline"));
+    }
+    assert_eq!(report.experiments[5].status, Status::Ok);
+    assert_eq!(report.health.workers_abandoned, 5);
     assert!(report.none_failed());
 }

@@ -66,7 +66,6 @@ fn full_report() -> SuiteReport {
             ),
         ],
         health: SuiteHealth {
-            worker_restarts: 1,
             workers_abandoned: 2,
             breakers_open: vec!["wedger".to_string(), "q\"uote".to_string()],
             journal_degraded: true,
@@ -97,7 +96,7 @@ const FULL_JSON: &str = r##"{
   "seed": "0x0000000000000e16",
   "run_hash": "0xdeadbeef0badf00d",
   "jobs": 2,
-  "health": {"worker_restarts": 1, "workers_abandoned": 2, "breakers_open": ["wedger", "q\"uote"], "journal_degraded": true, "publish_failures": 4, "faults_injected": 5, "faults_survived": 4, "fault_kinds": ["eio", "short-write"], "io_ops": 99},
+  "health": {"workers_abandoned": 2, "breakers_open": ["wedger", "q\"uote"], "journal_degraded": true, "publish_failures": 4, "faults_injected": 5, "faults_survived": 4, "fault_kinds": ["eio", "short-write"], "io_ops": 99},
   "experiments": [
     {"name": "table1", "status": "ok", "partial": false, "wall_ms": 1234, "retries": 0, "resumed": true, "reverified": false, "output_hash": "0x0123456789abcdef", "output_bytes": 4096},
     {"name": "fig5_amplification", "status": "ok", "partial": false, "wall_ms": 77, "retries": 0, "resumed": false, "reverified": true, "output_hash": "0x000000000000feed", "output_bytes": 12},
@@ -129,7 +128,7 @@ const EMPTY_JSON: &str = r##"{
   "seed": "0x0000000000000000",
   "run_hash": "0x0000000000000000",
   "jobs": 1,
-  "health": {"worker_restarts": 0, "workers_abandoned": 0, "breakers_open": [], "journal_degraded": false, "publish_failures": 0, "faults_injected": 0, "faults_survived": 0, "fault_kinds": [], "io_ops": 0},
+  "health": {"workers_abandoned": 0, "breakers_open": [], "journal_degraded": false, "publish_failures": 0, "faults_injected": 0, "faults_survived": 0, "fault_kinds": [], "io_ops": 0},
   "experiments": [
   ]
 }

@@ -17,9 +17,12 @@
 //! 3. **Queue** — when the bounded connection queue is full, new
 //!    connections get an immediate 503 + `Retry-After` (shed at
 //!    accept, before any parsing).
-//! 4. **Deadline** — a scan that outlives its wall-clock budget is
-//!    abandoned (504); its worker thread is detached, never joined
-//!    into the pool's critical path.
+//! 4. **Deadline** — every scan runs through the runner's one deadline
+//!    primitive, [`pandora_runner::supervised::run`]: a scan that
+//!    outlives its wall-clock budget is abandoned (504) on its
+//!    detached thread, a panicking scan is collected into a 500, and a
+//!    refused scan thread is a 503 + `Retry-After` that costs the pool
+//!    worker nothing.
 //! 5. **Breaker** — repeated panics/deadlines from one tenant open a
 //!    per-tenant circuit breaker: subsequent jobs get 503 until the
 //!    cooldown lapses.
@@ -36,9 +39,10 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+use pandora_runner::supervised::{self, Supervised};
 
 use crate::http::{read_request, write_json_response, HttpLimits, Request};
 use crate::job::{job_name, parse_job, ApiError, JobKind};
@@ -531,8 +535,12 @@ fn handle_scan(shared: &Shared, stream: &mut TcpStream, req: &Request) {
         }
     }
 
-    match supervise(shared, &job.kind) {
-        Outcome::Done(body) => {
+    let deadline = Duration::from_millis(shared.cfg.job_deadline_ms.max(1));
+    let (kind, scan_threads) = (job.kind, shared.cfg.scan_threads);
+    match supervised::run("pandora-scan", deadline, move || {
+        run_job(kind, scan_threads, deadline)
+    }) {
+        Supervised::Returned(Ok(body)) => {
             let mut st = lock_state(shared);
             st.admission.record_success(&tenant);
             st.stats.completed += 1;
@@ -545,14 +553,14 @@ fn handle_scan(shared: &Shared, stream: &mut TcpStream, req: &Request) {
             drop(st);
             let _ = write_json_response(stream, 200, None, &body);
         }
-        Outcome::JobError(e) => {
+        Supervised::Returned(Err(e)) => {
             let mut st = lock_state(shared);
             st.admission.record_success(&tenant); // controlled failure: not a breaker event
             st.stats.failed += 1;
             drop(st);
             respond_error(stream, &e);
         }
-        Outcome::Panicked(msg) => {
+        Supervised::Panicked(msg) => {
             let now = shared.now_ms();
             let mut st = lock_state(shared);
             st.stats.failed += 1;
@@ -566,7 +574,7 @@ fn handle_scan(shared: &Shared, stream: &mut TcpStream, req: &Request) {
                 retry_after_ms: None,
             });
         }
-        Outcome::DeadlineExceeded => {
+        Supervised::Overran => {
             let now = shared.now_ms();
             let mut st = lock_state(shared);
             st.stats.failed += 1;
@@ -583,70 +591,41 @@ fn handle_scan(shared: &Shared, stream: &mut TcpStream, req: &Request) {
                 retry_after_ms: None,
             });
         }
+        // The scan never ran: neither a breaker failure nor a success.
+        Supervised::NotStarted(e) => {
+            lock_state(shared).stats.failed += 1;
+            let refusal = ApiError {
+                status: 503,
+                code: "thread-unavailable",
+                detail: format!("no thread for the scan: {e}"),
+                retry_after_ms: Some(1000),
+            };
+            respond_error(stream, &refusal);
+        }
     }
 }
 
-enum Outcome {
-    Done(String),
-    JobError(ApiError),
-    Panicked(String),
-    DeadlineExceeded,
-}
-
-/// Runs one job on a dedicated supervised thread with a wall-clock
-/// deadline. A panicking job is collected and reported; a wedged job
-/// is abandoned (the thread is detached — it cannot wedge the pool).
-fn supervise(shared: &Shared, kind: &JobKind) -> Outcome {
-    let (tx, rx) = mpsc::channel::<Result<String, ApiError>>();
-    let kind = kind.clone();
-    let scan_threads = shared.cfg.scan_threads;
-    let deadline = Duration::from_millis(shared.cfg.job_deadline_ms.max(1));
-    let worker = std::thread::Builder::new()
-        .name("pandora-scan".to_string())
-        .spawn(move || {
-            let result = match kind {
-                JobKind::Scan(spec) => run_scan(&spec, scan_threads)
-                    .map(|report| report.to_json().dump())
-                    .map_err(|e| ApiError {
-                        status: 422,
-                        code: "scan-failed",
-                        detail: e.to_string(),
-                        retry_after_ms: None,
-                    }),
-                JobKind::SelftestPanic => panic!("selftest-panic victim"),
-                JobKind::SelftestWedge => {
-                    std::thread::sleep(deadline.saturating_mul(4));
-                    Err(ApiError {
-                        status: 500,
-                        code: "selftest-wedge",
-                        detail: "wedge victim woke up".to_string(),
-                        retry_after_ms: None,
-                    })
-                }
-            };
-            let _ = tx.send(result);
-        })
-        .expect("spawn scan thread");
-    match rx.recv_timeout(deadline) {
-        Ok(Ok(body)) => {
-            let _ = worker.join();
-            Outcome::Done(body)
-        }
-        Ok(Err(e)) => {
-            let _ = worker.join();
-            Outcome::JobError(e)
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => Outcome::DeadlineExceeded, // thread abandoned
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            let msg = match worker.join() {
-                Err(p) => p
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "scan thread panicked".to_string()),
-                Ok(()) => "scan thread exited without a result".to_string(),
-            };
-            Outcome::Panicked(msg)
+/// The body of one supervised job: a scan's report JSON, or its
+/// structured failure.
+fn run_job(kind: JobKind, scan_threads: usize, deadline: Duration) -> Result<String, ApiError> {
+    match kind {
+        JobKind::Scan(spec) => run_scan(&spec, scan_threads)
+            .map(|report| report.to_json().dump())
+            .map_err(|e| ApiError {
+                status: 422,
+                code: "scan-failed",
+                detail: e.to_string(),
+                retry_after_ms: None,
+            }),
+        JobKind::SelftestPanic => panic!("selftest-panic victim"),
+        JobKind::SelftestWedge => {
+            std::thread::sleep(deadline.saturating_mul(4));
+            Err(ApiError {
+                status: 500,
+                code: "selftest-wedge",
+                detail: "wedge victim woke up".to_string(),
+                retry_after_ms: None,
+            })
         }
     }
 }
