@@ -469,35 +469,34 @@ impl UrgAttack {
         Ok(votes)
     }
 
-    /// Like [`UrgAttack::leak_byte`], but each leak run is retried
-    /// under `policy`: a run that fails with a [`SimError`] (e.g. a
-    /// deadlock under an injected fault) is re-run on a clean machine —
-    /// disturbances are transient, so retries drop the installed fault
-    /// plan.
+    /// Like [`UrgAttack::leak_byte`], but the two leak runs (training
+    /// bases 1 and 4) are retried under `policy` with **failed runs
+    /// only** re-dispatched: a run that fails with a [`SimError`] (e.g.
+    /// a deadlock under an injected fault) is re-run on a clean machine
+    /// — disturbances are transient, so retries drop the installed
+    /// fault plan.
     ///
     /// # Errors
     ///
     /// [`RetryError::Sim`] if a run could not complete within
-    /// `policy.max_attempts`.
+    /// `policy.max_attempts` (carrying the lower training base's error
+    /// when both failed).
     pub fn leak_byte_with_retry(
         &self,
         secret_addr: u64,
         policy: &RetryPolicy,
     ) -> Result<Option<u8>, RetryError> {
-        let leak = |train_base: u64| {
-            policy.retry(|attempt| {
-                if attempt == 0 {
-                    self.try_run(secret_addr, train_base)
-                } else {
-                    let mut clean = self.clone();
-                    clean.fault_plan = None;
-                    clean.try_run(secret_addr, train_base)
-                }
-            })
-        };
-        let (run1, _) = leak(1)?;
-        let (run2, _) = leak(4)?;
-        Ok(UrgAttack::intersect(&run1, &run2))
+        const TRAIN_BASES: [u64; 2] = [1, 4];
+        let mut clean = self.clone();
+        clean.fault_plan = None;
+        let runs = policy.retry_failed(TRAIN_BASES.len(), |pending, attempt| {
+            let atk = if attempt == 0 { self } else { &clean };
+            pending
+                .iter()
+                .map(|&i| atk.try_run(secret_addr, TRAIN_BASES[i]).map(|(run, _)| run))
+                .collect()
+        })?;
+        Ok(UrgAttack::intersect(&runs[0], &runs[1]))
     }
 
     /// The universal read gadget: dumps `len` bytes starting at `addr`

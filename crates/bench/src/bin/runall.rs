@@ -1,6 +1,7 @@
 //! **`runall`** — the resilient suite driver: runs every registered
 //! experiment on a thread pool with per-experiment deadlines, panic
-//! isolation, bounded retries, and checkpoint/resume.
+//! isolation, a bounded number of attempts (`--retries`), and
+//! checkpoint/resume.
 //!
 //! ```text
 //! cargo run --release -p pandora-bench --bin runall -- --smoke --jobs 2
@@ -8,9 +9,9 @@
 //! ```
 //!
 //! Exit code 0 = every experiment `ok`; 1 = some experiments came back
-//! `partial` or `degraded` (suppressed by `--allow-partial`, the CI
-//! mode); 2 = infrastructure failure, a determinism mismatch on resume,
-//! or a simulated-kill crash test taking the run down.
+//! `partial` (suppressed by `--allow-partial`, the CI mode); 2 =
+//! infrastructure failure, a determinism mismatch on resume, or a
+//! simulated-kill crash test taking the run down.
 
 use std::process::ExitCode;
 
@@ -44,14 +45,11 @@ usage: runall [options]
   --chaos              inject the seeded storage-fault selftest plan (one of
                        each recoverable fault kind) and report what fired;
                        faults degrade the run -- combine with --allow-partial
-  --breaker N          consecutive panic/deadline failures before an
-                       experiment's circuit breaker opens (default 3, 0 = off)
-  --allow-partial      exit 0 even if some experiments are partial/degraded
-                       (CI mode)
+  --allow-partial      exit 0 even if some experiments are partial (CI mode)
   --list               list registered experiments and exit
   --help               this message
 
-exit codes: 0 all ok; 1 partial/degraded rows (unless --allow-partial);
+exit codes: 0 all ok; 1 partial rows (unless --allow-partial);
 2 infrastructure failure / resume refusal / determinism mismatch
 ";
 
@@ -127,11 +125,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 opts.reverify = v
                     .parse()
                     .map_err(|_| format!("bad --reverify value {v:?}"))?;
-            }
-            "--breaker" => {
-                let v = value(&mut it, "--breaker")?;
-                opts.breaker_threshold =
-                    v.parse().map_err(|_| format!("bad --breaker value {v:?}"))?;
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -245,8 +238,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let (mut ok, mut partial, mut degraded, mut failed, mut resumed) =
-        (0usize, 0usize, 0usize, 0usize, 0usize);
+    let (mut ok, mut partial, mut failed, mut resumed) = (0usize, 0usize, 0usize, 0usize);
     for e in &report.experiments {
         if e.resumed {
             resumed += 1;
@@ -254,12 +246,11 @@ fn main() -> ExitCode {
         match e.status.keyword() {
             "ok" => ok += 1,
             "partial" => partial += 1,
-            "degraded" => degraded += 1,
             _ => failed += 1,
         }
     }
     println!(
-        "suite done: {ok} ok, {partial} partial, {degraded} degraded, {failed} failed \
+        "suite done: {ok} ok, {partial} partial, {failed} failed \
          ({resumed} resumed from journal); summary: {}",
         opts.results_dir.join("summary.json").display()
     );
@@ -283,16 +274,11 @@ fn main() -> ExitCode {
             health.io_ops,
         );
     }
-    if health.workers_abandoned > 0
-        || !health.breakers_open.is_empty()
-        || health.journal_degraded
-        || health.publish_failures > 0
-    {
+    if health.workers_abandoned > 0 || health.journal_degraded || health.publish_failures > 0 {
         println!(
             "health: {} attempt thread(s) abandoned at their deadline, \
-             breakers open: [{}], {} publish failure(s){}",
+             {} publish failure(s){}",
             health.workers_abandoned,
-            health.breakers_open.join(", "),
             health.publish_failures,
             if health.journal_degraded {
                 "; journal degraded (checkpointing was disabled)"

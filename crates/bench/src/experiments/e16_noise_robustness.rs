@@ -101,12 +101,8 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
         result_base: 0x800,
     };
     let quiet = SimConfig::default();
-    // Jittered backoff, seeded from the suite seed: retry rounds across
-    // a parallel suite stop resizing in lockstep, and the sequence is
-    // still reproduced exactly on resume/reverify.
-    let policy = RetryPolicy::default().with_jitter(ctx.seed() ^ 0xE16);
     let mut receiver =
-        AdaptiveReceiver::calibrate(policy, trials, |trials, _attempt| {
+        AdaptiveReceiver::calibrate(RetryPolicy::default(), trials, |trials, _attempt| {
             probe_calibration_round(&quiet, trials, None)
         })
         .map_err(|e| Failure::new(format!("quiet calibration failed: {e}")))?;
@@ -127,11 +123,10 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
         "adaptive receiver"
     );
     // All intensities' probe rounds run as one fleet grid up front
-    // (shared program, pooled machines, work-stealing threads, failed
-    // rounds re-dispatched individually); per-row quality is then read
-    // out of the grid in intensity order. The per-intensity seeds (not
-    // sweep indices) keep smoke and full profiles printing identical
-    // rows for shared intensities.
+    // (shared program, pooled machines, work-stealing threads); per-row
+    // quality is then read out of the grid in intensity order. The
+    // per-intensity seeds (not sweep indices) keep smoke and full
+    // profiles printing identical rows for shared intensities.
     let noisy_cfgs: Vec<SimConfig> = intensities(ctx)
         .iter()
         .map(|&intensity| {
@@ -141,7 +136,7 @@ fn channel_quality_sweep(ctx: &Ctx) -> Result<(), Failure> {
             noisy
         })
         .collect();
-    let probe_rounds = probe_calibration_grid(&noisy_cfgs, trials, &policy, ctx.fleet_threads())
+    let probe_rounds = probe_calibration_grid(&noisy_cfgs, trials, ctx.fleet_threads())
         .map_err(|e| Failure::new(format!("noisy probe grid failed: {e}")))?;
     for (idx, &intensity) in intensities(ctx).iter().enumerate() {
         let seed = ctx.seed().wrapping_add(u64::from(intensity) * 0x9e37_79b9);

@@ -166,7 +166,6 @@ pub fn majority_vote<T: Copy + Ord>(votes: &[Option<T>]) -> Option<T> {
 pub struct AdaptiveReceiver {
     policy: RetryPolicy,
     cal: Calibration,
-    recalibrations: u32,
 }
 
 impl AdaptiveReceiver {
@@ -182,11 +181,7 @@ impl AdaptiveReceiver {
         round: impl FnMut(usize, u32) -> Result<(Vec<u64>, Vec<u64>), SimError>,
     ) -> Result<AdaptiveReceiver, RetryError> {
         let cal = policy.calibrate(base_trials, round)?;
-        Ok(AdaptiveReceiver {
-            policy,
-            cal,
-            recalibrations: 0,
-        })
+        Ok(AdaptiveReceiver { policy, cal })
     }
 
     /// The current classification threshold.
@@ -199,12 +194,6 @@ impl AdaptiveReceiver {
     #[must_use]
     pub fn calibration(&self) -> &Calibration {
         &self.cal
-    }
-
-    /// How many times the receiver has re-calibrated.
-    #[must_use]
-    pub fn recalibrations(&self) -> u32 {
-        self.recalibrations
     }
 
     /// Whether freshly observed fast/slow populations have drifted
@@ -235,7 +224,6 @@ impl AdaptiveReceiver {
             return Ok(false);
         }
         self.cal = self.policy.calibrate(base_trials, round)?;
-        self.recalibrations += 1;
         Ok(true)
     }
 }
@@ -317,7 +305,6 @@ mod tests {
         .unwrap();
         let t0 = rx.threshold();
         assert!(150 < t0 && 250 >= t0);
-        assert_eq!(rx.recalibrations(), 0);
 
         // Clean observations: nothing happens.
         let acted = rx
@@ -336,7 +323,6 @@ mod tests {
             })
             .unwrap();
         assert!(acted);
-        assert_eq!(rx.recalibrations(), 1);
         assert!(rx.threshold() > t0);
         assert_eq!(rx.calibration().attempts, 1);
     }

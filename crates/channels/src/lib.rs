@@ -17,10 +17,15 @@
 //! * [`retry`] — bounded-retry calibration ([`RetryPolicy`]): noisy
 //!   rounds are retried with more trials until the timing populations
 //!   separate, and failures surface as structured [`RetryError`]s.
+//!   Each retry loop has one cap, [`RetryPolicy::max_attempts`], and
+//!   each retry changes its input (more trials, or a failed batch
+//!   member re-run without its fault plan): the simulator is
+//!   deterministic, so an unchanged input would fail again.
 //!   This crate's simulated rounds, first attempts and retries alike,
 //!   each run as one `pandora_sim::fleet::trial_grid` call, so a retry
 //!   runs on a machine that call provisioned, never on one a failed
-//!   round left behind.
+//!   round left behind. [`probe_calibration_grid`] is one such call
+//!   and does not retry.
 //! * [`adaptive`] — noise-hardened receiver machinery: SNR /
 //!   error-rate reporting ([`ChannelQuality`],
 //!   [`BitErrorCounter`]), repetition decoding ([`majority_vote`]),

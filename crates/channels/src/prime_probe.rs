@@ -12,15 +12,14 @@
 //! A calibration round ([`probe_calibration_round`], and
 //! [`probe_calibration_grid`] for many configs at once) times hits and
 //! misses on the simulator through one `pandora_sim::fleet::trial_grid`
-//! call; [`RetryPolicy::calibrate`] turns rounds into a threshold.
+//! call; [`RetryPolicy::calibrate`](crate::RetryPolicy::calibrate)
+//! turns rounds into a threshold.
 
 use std::sync::Arc;
 
 use pandora_isa::{Asm, Program, Reg};
 use pandora_sim::fleet::{self, MemberError, MemberSpec};
 use pandora_sim::{FaultPlan, Machine, SimConfig, SimError};
-
-use crate::retry::{RetryError, RetryPolicy};
 
 /// Emits a timed load of `addr`; the latency (plus a small fixed
 /// overhead) is stored as a u64 at `result_addr`.
@@ -109,7 +108,7 @@ pub type ProbeTimings = (Vec<u64>, Vec<u64>);
 ///
 /// `faults` optionally installs a [`FaultPlan`] on the measuring
 /// machine — harnesses use periodic line evictions to model co-tenant
-/// noise when exercising [`RetryPolicy`] recovery.
+/// noise when exercising [`RetryPolicy`](crate::RetryPolicy) recovery.
 ///
 /// # Errors
 ///
@@ -186,26 +185,24 @@ fn probe_rounds(
     .collect()
 }
 
-/// One probe-calibration round per config, re-dispatching **failed
-/// rounds only** under `policy`: the sweep entry point for noise grids
-/// that calibrate dozens of intensities at once. Each attempt is one
-/// fleet grid over one compiled program, across `threads` threads
-/// (0 = process default).
+/// One probe-calibration round per config, as one fleet grid over one
+/// compiled program across `threads` threads (0 = process default):
+/// the sweep entry point for noise grids that calibrate many
+/// intensities at once. Round `i` equals
+/// `probe_calibration_round(&cfgs[i], trials, None)`. A failed round is
+/// not re-run: the simulator is deterministic, so it would fail again.
 ///
 /// # Errors
 ///
-/// [`RetryError::Sim`] if any round still fails after the policy's
-/// attempt budget (carrying the lowest-index round's last error).
+/// The lowest-index failed round's [`SimError`].
 pub fn probe_calibration_grid(
     cfgs: &[SimConfig],
     trials: usize,
-    policy: &RetryPolicy,
     threads: usize,
-) -> Result<Vec<ProbeTimings>, RetryError> {
-    policy.retry_failed(cfgs.len(), |pending, _attempt| {
-        let round_cfgs: Vec<SimConfig> = pending.iter().map(|&i| cfgs[i]).collect();
-        probe_rounds(&round_cfgs, trials, None, threads)
-    })
+) -> Result<Vec<ProbeTimings>, SimError> {
+    probe_rounds(cfgs, trials, None, threads)
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -283,6 +280,43 @@ mod tests {
             cal.fast.mean,
             cal.slow.mean,
         );
+    }
+
+    #[test]
+    fn calibration_grid_matches_lone_rounds_in_config_order() {
+        use pandora_sim::NoiseConfig;
+        let cfgs: Vec<SimConfig> = [0u16, 30, 60]
+            .iter()
+            .map(|&intensity| SimConfig {
+                noise: NoiseConfig::at_intensity(intensity, 0xE16 + u64::from(intensity)),
+                ..SimConfig::default()
+            })
+            .collect();
+        let grid = probe_calibration_grid(&cfgs, 8, 2).unwrap();
+        let lone: Vec<ProbeTimings> = cfgs
+            .iter()
+            .map(|cfg| probe_calibration_round(cfg, 8, None).unwrap())
+            .collect();
+        assert_eq!(grid, lone);
+        assert_ne!(grid[0], grid[2], "the noise must reach the rounds");
+
+        // A config whose memory cannot hold the probe lines fails in its
+        // own slot; the grid returns the lowest-index failed round's
+        // error. `mid` holds the hit line but not the cold lines, so it
+        // faults later, at another pc.
+        let small = SimConfig {
+            mem_size: 64 * 1024,
+            ..SimConfig::default()
+        };
+        let mid = SimConfig {
+            mem_size: 0x18_0000,
+            ..SimConfig::default()
+        };
+        let want = probe_calibration_round(&small, 8, None).unwrap_err();
+        assert!(matches!(want, SimError::Mem { .. }), "{want}");
+        assert_ne!(probe_calibration_round(&mid, 8, None).unwrap_err(), want);
+        let got = probe_calibration_grid(&[cfgs[0], small, mid], 8, 2).unwrap_err();
+        assert_eq!(got, want);
     }
 
     #[test]

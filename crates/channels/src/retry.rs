@@ -3,14 +3,20 @@
 //! Real attack campaigns run in noisy environments: co-tenant cache
 //! pressure blurs the hit/miss separation, and a disturbed machine can
 //! even fail its run outright (the fault-injection harness in
-//! `pandora-sim` models both). A [`RetryPolicy`] turns one-shot
-//! calibration into a bounded retry loop: each attempt adds
-//! [`RetryPolicy::backoff_trials`] trials (more samples drown
-//! independent noise), an attempt is accepted only once Welch's t
-//! clears [`RetryPolicy::min_t`], and after
-//! [`RetryPolicy::max_attempts`] the caller gets a structured
-//! [`RetryError`] carrying the best attempt seen — partial results, not
-//! a panic.
+//! `pandora-sim` models both). The simulator is deterministic, so a
+//! retry helps only when its input changes, and each of the two retry
+//! loops here changes one:
+//!
+//! * [`RetryPolicy::calibrate`] turns one-shot calibration into a
+//!   bounded loop: each attempt adds [`RetryPolicy::backoff_trials`]
+//!   trials (more samples drown independent noise), an attempt is
+//!   accepted only once Welch's t clears [`RetryPolicy::min_t`], and
+//!   after [`RetryPolicy::max_attempts`] the caller gets a structured
+//!   [`RetryError`] carrying the best attempt seen — partial results,
+//!   not a panic.
+//! * [`RetryPolicy::retry_failed`] re-dispatches the failed members of
+//!   a batch, which the attack drivers re-run without their injected
+//!   fault plan.
 
 use std::error::Error;
 use std::fmt;
@@ -31,15 +37,6 @@ pub struct RetryPolicy {
     /// calibration attempt to be accepted; also the re-calibration
     /// trigger ([`RetryPolicy::needs_recalibration`]).
     pub min_t: f64,
-    /// Seed for deterministic backoff jitter; `0` disables jitter (the
-    /// default, preserving the exact legacy trial sequence). With a
-    /// nonzero seed, each retry's extra-trial count is perturbed by a
-    /// seeded hash of the attempt index (see
-    /// [`RetryPolicy::trials_for_attempt`]), so parallel experiments
-    /// sharing one policy stop re-running identically sized rounds in
-    /// lockstep. Same seed, same jitter — retried runs stay
-    /// reproducible.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -48,7 +45,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             backoff_trials: 16,
             min_t: 5.0,
-            jitter_seed: 0,
         }
     }
 }
@@ -115,34 +111,6 @@ pub struct Calibration {
 }
 
 impl RetryPolicy {
-    /// This policy with deterministic backoff jitter from `seed`
-    /// (`0` turns jitter back off).
-    #[must_use]
-    pub fn with_jitter(self, seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            jitter_seed: seed,
-            ..self
-        }
-    }
-
-    /// The per-population trial count for a 0-based `attempt`: the base
-    /// count plus one [`RetryPolicy::backoff_trials`] step per retry,
-    /// plus — under a nonzero [`RetryPolicy::jitter_seed`] — a seeded
-    /// per-attempt jitter of up to `backoff_trials - 1` extra trials.
-    /// Attempt 0 is never jittered (the first round must match the
-    /// un-jittered policy byte for byte), and because the jitter stays
-    /// strictly below one backoff step the sequence remains strictly
-    /// increasing.
-    #[must_use]
-    pub fn trials_for_attempt(&self, base_trials: usize, attempt: u32) -> usize {
-        let base = base_trials + attempt as usize * self.backoff_trials;
-        if self.jitter_seed == 0 || attempt == 0 || self.backoff_trials == 0 {
-            return base;
-        }
-        let roll = splitmix64(self.jitter_seed ^ (u64::from(attempt) << 32));
-        base + (roll % self.backoff_trials as u64) as usize
-    }
-
     /// Whether an observed separation has degraded enough that the
     /// caller should re-run calibration.
     #[must_use]
@@ -152,7 +120,8 @@ impl RetryPolicy {
 
     /// Runs `round` (given a trial count and 0-based attempt index,
     /// returning `(fast, slow)` timing samples) until an attempt's
-    /// Welch's t clears [`RetryPolicy::min_t`].
+    /// Welch's t clears [`RetryPolicy::min_t`]. Attempt `a` runs
+    /// `base_trials + a × backoff_trials` trials per population.
     ///
     /// # Errors
     ///
@@ -168,7 +137,7 @@ impl RetryPolicy {
         let mut best: Option<Calibration> = None;
         let mut last_sim: Option<SimError> = None;
         for attempt in 0..attempts {
-            let trials = self.trials_for_attempt(base_trials, attempt);
+            let trials = base_trials + attempt as usize * self.backoff_trials;
             let (fast, slow) = match round(trials, attempt) {
                 Ok(samples) => samples,
                 Err(e) => {
@@ -202,31 +171,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Retries an arbitrary fallible operation (given the 0-based
-    /// attempt index) until it succeeds. Values of `max_attempts`
-    /// below 1 behave as 1: the operation always gets one attempt.
-    ///
-    /// # Errors
-    ///
-    /// [`RetryError::Sim`] with the last error if every attempt failed.
-    pub fn retry<T>(
-        &self,
-        mut op: impl FnMut(u32) -> Result<T, SimError>,
-    ) -> Result<T, RetryError> {
-        let attempts = self.max_attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(RetryError::Sim {
-            attempts,
-            last: last.expect("loop ran at least once"),
-        })
-    }
-
     /// Batch retry that re-dispatches **failed members only**: the
     /// retry shape for fleet sweeps, where attempt 0 runs the whole
     /// member grid and each later attempt re-runs just the members
@@ -236,6 +180,8 @@ impl RetryPolicy {
     /// `batch` receives the still-failing member indices (strictly
     /// increasing) and the 0-based attempt number, and must return
     /// exactly one result per requested index, in the same order.
+    /// Values of `max_attempts` below 1 behave as 1: the batch is
+    /// always dispatched once.
     ///
     /// # Errors
     ///
@@ -294,17 +240,6 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer — the workspace's one seeded hash. Here it
-/// decorrelates jitter across attempt indices; the runner's chaos plans
-/// step a SplitMix64 stream through it.
-#[must_use]
-pub fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +266,6 @@ mod tests {
             max_attempts: 3,
             backoff_trials: 10,
             min_t: 5.0,
-            jitter_seed: 0,
         };
         let mut seen_trials = Vec::new();
         let err = p
@@ -364,127 +298,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cal.attempts, 2);
-    }
-
-    #[test]
-    fn sim_errors_are_retried_and_surfaced() {
-        let p = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        let v = p
-            .retry(|attempt| {
-                if attempt == 0 {
-                    Err(SimError::Timeout { cycles: 10 })
-                } else {
-                    Ok(attempt)
-                }
-            })
-            .unwrap();
-        assert_eq!(v, 1);
-
-        let err = p
-            .retry::<()>(|_| Err(SimError::Timeout { cycles: 10 }))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RetryError::Sim {
-                attempts: 2,
-                last: SimError::Timeout { cycles: 10 }
-            }
-        );
-    }
-
-    #[test]
-    fn zero_max_attempts_still_runs_once() {
-        // A policy with max_attempts: 0 is clamped to one attempt — a
-        // misconfigured caller gets one honest try, not a vacuous error.
-        let p = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        };
-        let mut calls = 0u32;
-        let v = p
-            .retry(|attempt| {
-                calls += 1;
-                Ok::<u32, SimError>(attempt)
-            })
-            .unwrap();
-        assert_eq!((v, calls), (0, 1));
-
-        let mut calls = 0u32;
-        let err = p
-            .retry::<()>(|_| {
-                calls += 1;
-                Err(SimError::Timeout { cycles: 1 })
-            })
-            .unwrap_err();
-        assert_eq!(calls, 1);
-        assert_eq!(
-            err,
-            RetryError::Sim {
-                attempts: 1,
-                last: SimError::Timeout { cycles: 1 }
-            }
-        );
-    }
-
-    #[test]
-    fn jitter_is_off_by_default_and_zero_seed_matches_legacy_sequence() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            backoff_trials: 10,
-            ..RetryPolicy::default()
-        };
-        let trials: Vec<usize> = (0..4).map(|a| p.trials_for_attempt(8, a)).collect();
-        assert_eq!(trials, vec![8, 18, 28, 38], "no seed, no jitter");
-        // with_jitter(0) is explicitly "off" too.
-        let off = p.with_jitter(7).with_jitter(0);
-        assert_eq!(off, p);
-    }
-
-    #[test]
-    fn jittered_sequence_is_pinned_monotone_and_seed_deterministic() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            backoff_trials: 10,
-            ..RetryPolicy::default()
-        }
-        .with_jitter(0xE16);
-        let trials: Vec<usize> = (0..5).map(|a| p.trials_for_attempt(8, a)).collect();
-        // Pinned: splitmix64 output for this seed must never drift —
-        // archived experiment transcripts depend on it.
-        assert_eq!(trials, vec![8, 27, 31, 43, 56]);
-        // Attempt 0 is exactly the un-jittered count.
-        assert_eq!(trials[0], 8);
-        // Jitter stays below one backoff step: strictly increasing, and
-        // never two full steps ahead of the legacy sequence.
-        for (a, w) in trials.windows(2).enumerate() {
-            assert!(w[0] < w[1], "attempt {a}: {trials:?} not increasing");
-        }
-        for (a, &t) in trials.iter().enumerate() {
-            let legacy = 8 + a * 10;
-            assert!(t >= legacy && t < legacy + 10, "attempt {a}: {t} vs legacy {legacy}");
-        }
-        // Same seed, same sequence; different seed, different sequence.
-        let again: Vec<usize> = (0..5).map(|a| p.trials_for_attempt(8, a)).collect();
-        assert_eq!(trials, again);
-        let other: Vec<usize> =
-            (0..5).map(|a| p.with_jitter(0xE17).trials_for_attempt(8, a)).collect();
-        assert_ne!(trials, other);
-    }
-
-    #[test]
-    fn jitter_with_zero_backoff_is_inert() {
-        let p = RetryPolicy {
-            backoff_trials: 0,
-            ..RetryPolicy::default()
-        }
-        .with_jitter(99);
-        assert_eq!(
-            (0..3).map(|a| p.trials_for_attempt(20, a)).collect::<Vec<_>>(),
-            vec![20, 20, 20]
-        );
     }
 
     #[test]
@@ -555,6 +368,31 @@ mod tests {
         assert_eq!(
             p.retry_failed::<u32>(0, |_, _| Vec::new()).unwrap(),
             Vec::<u32>::new()
+        );
+    }
+
+    #[test]
+    fn retry_failed_with_zero_max_attempts_dispatches_once() {
+        // A policy with max_attempts: 0 is clamped to one attempt — a
+        // misconfigured caller gets one honest try, not a vacuous error.
+        let p = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::default()
+        };
+        let mut calls = 0u32;
+        let err = p
+            .retry_failed::<()>(2, |pending, _| {
+                calls += 1;
+                pending.iter().map(|_| Err(SimError::Timeout { cycles: 1 })).collect()
+            })
+            .unwrap_err();
+        assert_eq!(calls, 1);
+        assert_eq!(
+            err,
+            RetryError::Sim {
+                attempts: 1,
+                last: SimError::Timeout { cycles: 1 }
+            }
         );
     }
 

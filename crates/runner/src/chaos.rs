@@ -31,8 +31,6 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use pandora_channels::retry::splitmix64;
-
 /// The operation class performed at a [`Site`]; decides which
 /// [`ChaosKind`]s are meaningful there.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -618,9 +616,11 @@ pub fn set_len(site: Site, file: &File, len: u64) -> io::Result<()> {
 
 /// Draws the next value of the SplitMix64 stream at `state`.
 fn draw(state: &mut u64) -> u64 {
-    let r = splitmix64(*state);
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    r
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -39,16 +39,17 @@
 //!   kills at every crash point are first-class, testable inputs
 //!   (`runall --chaos`), with injection counters surfaced in the suite
 //!   report's `health` section.
-//! * **Shared infrastructure** ([`json`], [`breaker`], [`supervised`])
-//!   — the workspace's one JSON codec, one circuit breaker and one
-//!   deadline primitive, used by the suite and by the scan service
-//!   alike.
+//! * **Shared infrastructure** ([`json`], [`supervised`]) — the
+//!   workspace's one JSON codec and one deadline primitive, used by the
+//!   suite and by the scan service alike.
+//!
+//! The crate has no dependency: it neither runs nor links the
+//! simulator.
 //!
 //! The experiments themselves live in `pandora-bench`
 //! (`pandora_bench::experiments::registry()`); the `runall` binary
 //! there drives this crate.
 
-pub mod breaker;
 pub mod chaos;
 pub mod error;
 pub mod experiment;

@@ -1,7 +1,7 @@
 //! The suite orchestrator: a worker pool that runs every experiment
 //! attempt through the [`supervised`] deadline primitive, with bounded
-//! retries, circuit breakers, checkpoint/resume, and graceful storage
-//! degradation, publishing crash-safe results.
+//! retries, checkpoint/resume, and graceful storage degradation,
+//! publishing crash-safe results.
 //!
 //! [`run_suite`] is the one way an experiment runs: `runall`, the
 //! benchmark's `suite` workload and every per-figure bin (one
@@ -11,15 +11,14 @@
 //! ("failures are data, not aborts", DESIGN.md §6) one level up:
 //!
 //! * a panicking attempt is caught by `catch_unwind` on its own thread
-//!   and recorded as a partial result;
+//!   and retried up to [`SuiteOptions::max_attempts`] attempts, then
+//!   recorded as a partial result;
 //! * a *wedged* attempt — the job-level analogue of
 //!   `SimConfig::watchdog_cycles` — overruns its wall-clock deadline;
 //!   its thread is left behind, whatever the experiment had printed is
 //!   salvaged, and the worker goes on to the next job, so a wedge costs
-//!   one abandoned thread and never a worker;
-//! * an experiment that panics or wedges `breaker_threshold` times in
-//!   a row trips its circuit breaker and is skipped with
-//!   [`Status::Degraded`] instead of burning more suite deadline;
+//!   one abandoned thread and never a worker, and the wedge is not
+//!   retried;
 //! * storage faults (a failed journal fsync, an unpublishable result
 //!   file) degrade the run — journaling stops, the failure is counted
 //!   in [`SuiteHealth`] — instead of aborting it. The one exception is
@@ -36,11 +35,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::breaker::Breaker;
 use crate::chaos::{self, ChaosPlan};
 use crate::experiment::{Ctx, Experiment, Profile};
 use crate::journal::{Journal, JournalEntry, Manifest};
@@ -61,14 +59,6 @@ pub enum Status {
         /// What went wrong (error message, panic payload, or deadline).
         reason: String,
     },
-    /// The experiment was skipped by the suite's own protection
-    /// machinery: its circuit breaker opened after repeated
-    /// panic/deadline failures. No (or only salvaged) output exists;
-    /// re-running with `--resume` retries it.
-    Degraded {
-        /// Which protection fired.
-        reason: String,
-    },
     /// An infrastructure-level failure: the run's results cannot be
     /// trusted (e.g. a resumed experiment re-verified to different
     /// bytes). Fails the suite.
@@ -79,14 +69,12 @@ pub enum Status {
 }
 
 impl Status {
-    /// The summary/journal keyword (`ok` / `partial` / `degraded` /
-    /// `failed`).
+    /// The summary/journal keyword (`ok` / `partial` / `failed`).
     #[must_use]
     pub fn keyword(&self) -> &'static str {
         match self {
             Status::Ok => "ok",
             Status::Partial { .. } => "partial",
-            Status::Degraded { .. } => "degraded",
             Status::Failed { .. } => "failed",
         }
     }
@@ -96,9 +84,7 @@ impl Status {
     pub fn reason(&self) -> Option<&str> {
         match self {
             Status::Ok => None,
-            Status::Partial { reason }
-            | Status::Degraded { reason }
-            | Status::Failed { reason } => Some(reason),
+            Status::Partial { reason } | Status::Failed { reason } => Some(reason),
         }
     }
 }
@@ -125,16 +111,14 @@ pub struct ExperimentReport {
     pub output_bytes: u64,
 }
 
-/// Operational health of a suite run: supervision activity, open
-/// circuit breakers, storage degradation, and chaos-injection
-/// accounting. Serialized as the `health` object of `summary.json`.
+/// Operational health of a suite run: abandoned attempt threads,
+/// storage degradation, and chaos-injection accounting. Serialized as
+/// the `health` object of `summary.json`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SuiteHealth {
     /// Attempt threads left running because their experiment overran
     /// its deadline.
     pub workers_abandoned: u32,
-    /// Names of experiments whose circuit breaker is open at suite end.
-    pub breakers_open: Vec<String>,
     /// Whether a journal I/O failure disabled checkpointing mid-run
     /// (the run completed, but `--resume` will re-run its experiments).
     pub journal_degraded: bool,
@@ -180,7 +164,7 @@ impl SuiteReport {
         self.experiments.iter().all(|e| e.status == Status::Ok)
     }
 
-    /// `true` when no experiment is worse than `partial`/`degraded`.
+    /// `true` when no experiment is worse than `partial`.
     #[must_use]
     pub fn none_failed(&self) -> bool {
         !self
@@ -225,10 +209,6 @@ impl SuiteReport {
                 "health",
                 obj(vec![
                     ("workers_abandoned", Json::from(u64::from(h.workers_abandoned))),
-                    (
-                        "breakers_open",
-                        Json::Arr(h.breakers_open.iter().map(|n| Json::from(n.as_str())).collect()),
-                    ),
                     ("journal_degraded", Json::Bool(h.journal_degraded)),
                     ("publish_failures", Json::from(u64::from(h.publish_failures))),
                     ("faults_injected", Json::from(h.faults_injected)),
@@ -291,7 +271,8 @@ pub struct SuiteOptions {
     /// compare byte-for-byte (determinism re-verification).
     pub reverify: usize,
     /// Attempts per experiment for failures and panics (values below 1
-    /// behave as 1); deadline overruns are never retried.
+    /// behave as 1); deadline overruns are never retried. The suite's
+    /// only attempt cap.
     pub max_attempts: u32,
     /// Suite seed recorded in the manifest and handed to experiments.
     pub seed: u64,
@@ -306,10 +287,6 @@ pub struct SuiteOptions {
     /// Installing even an empty plan turns on I/O accounting in
     /// [`SuiteHealth`].
     pub chaos: Option<ChaosPlan>,
-    /// Consecutive panic/deadline failures before an experiment's
-    /// circuit breaker opens and remaining attempts are skipped as
-    /// [`Status::Degraded`]. `0` disables breakers.
-    pub breaker_threshold: u32,
     /// When a resume is refused (missing/corrupt manifest or journal),
     /// fall back to a fresh run instead of erroring. Used by crash
     /// recovery, where a kill may predate the manifest.
@@ -332,7 +309,6 @@ impl Default for SuiteOptions {
             progress: false,
             args: Vec::new(),
             chaos: None,
-            breaker_threshold: 3,
             resume_fallback: false,
         }
     }
@@ -396,62 +372,29 @@ enum JobKind {
 
 type Job = (usize, JobKind);
 
-/// Per-experiment circuit breakers, each with the message of its last
-/// panic/deadline failure.
-type Breakers = Mutex<Vec<(Breaker, String)>>;
-
-/// Why experiment `index` is skipped, if its breaker is open. Suite
-/// breakers never cool down, so time plays no part: every breaker call
-/// passes 0 as `now_ms`.
-fn breaker_open_reason(breakers: &Breakers, index: usize, threshold: u32) -> Option<String> {
-    let guard = breakers.lock().unwrap_or_else(|p| p.into_inner());
-    let (b, last) = &guard[index];
-    b.is_open(0).then(|| {
-        format!(
-            "circuit breaker opened after {threshold} consecutive panic/deadline \
-             failure(s); skipping remaining attempts (last failure: {last})"
-        )
-    })
-}
-
-/// Records a panic/deadline failure of experiment `index`. The cooldown
-/// of `u64::MAX` keeps an opened breaker open for the rest of the suite.
-fn breaker_record_crash(breakers: &Breakers, index: usize, threshold: u32, what: &str) {
-    let mut guard = breakers.lock().unwrap_or_else(|p| p.into_inner());
-    let (b, last) = &mut guard[index];
-    *last = what.to_string();
-    b.record_failure(threshold, u64::MAX, 0);
-}
-
 /// One worker: takes jobs from `jobs` until none are left, runs each
 /// and sends its outcome to the main thread, which publishes it.
 fn work(
     jobs: &[Job],
     next: &AtomicUsize,
     exps: &[&Experiment],
-    breakers: &Breakers,
     opts: &SuiteOptions,
     tx: &mpsc::Sender<(usize, JobKind, ExecOutcome)>,
 ) {
     while let Some(&(index, kind)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
-        let outcome = run_job(exps[index], index, breakers, opts);
+        let outcome = run_job(exps[index], opts);
         if tx.send((index, kind, outcome)).is_err() {
             return; // the main thread stopped (a simulated kill)
         }
     }
 }
 
-/// Runs experiment `exp` (row `index`) attempt by attempt, each through
-/// [`supervised::run`] on a thread named after the experiment,
-/// honouring its circuit breaker between attempts. Failures, panics
-/// and refused threads are retried; an overrun is not (a wedge would
-/// wedge again and cost another full deadline).
-fn run_job(
-    exp: &Experiment,
-    index: usize,
-    breakers: &Breakers,
-    opts: &SuiteOptions,
-) -> ExecOutcome {
+/// Runs experiment `exp` attempt by attempt, each through
+/// [`supervised::run`] on a thread named after the experiment, for at
+/// most [`SuiteOptions::max_attempts`] attempts. Failures, panics and
+/// refused threads are retried; an overrun is not (a wedge would wedge
+/// again and cost another full deadline).
+fn run_job(exp: &Experiment, opts: &SuiteOptions) -> ExecOutcome {
     let deadline = opts.deadline_override.unwrap_or(exp.deadline);
     let start = Instant::now();
     let mut status = None;
@@ -459,10 +402,6 @@ fn run_job(
     let mut output = String::new();
     let mut abandoned = false;
     for attempt in 1..=opts.max_attempts.max(1) {
-        if let Some(reason) = breaker_open_reason(breakers, index, opts.breaker_threshold) {
-            status = Some(Status::Degraded { reason });
-            break;
-        }
         used = attempt;
         let ctx = Ctx::new(opts.profile, opts.seed, opts.args.clone())
             .with_fleet_threads(opts.fleet_threads);
@@ -475,26 +414,20 @@ fn run_job(
         output = ctx.output();
         let reason = match result {
             Supervised::Returned(Ok(())) => {
-                breakers.lock().unwrap_or_else(|p| p.into_inner())[index]
-                    .0
-                    .record_success();
                 status = Some(Status::Ok);
                 break;
             }
-            // A plain failure or a refused thread is retryable and does
-            // not count toward the breaker (only panics and deadlines do).
             Supervised::Returned(Err(f)) => format!("failed after {used} attempt(s): {f}"),
             Supervised::NotStarted(e) => format!("no thread after {used} attempt(s): {e}"),
-            Supervised::Panicked(msg) => {
-                breaker_record_crash(breakers, index, opts.breaker_threshold, &msg);
-                format!("panicked after {used} attempt(s): {msg}")
-            }
+            Supervised::Panicked(msg) => format!("panicked after {used} attempt(s): {msg}"),
             Supervised::Overran => {
-                let what = format!("deadline of {:.1}s exceeded", deadline.as_secs_f64());
-                breaker_record_crash(breakers, index, opts.breaker_threshold, &what);
                 abandoned = true;
                 status = Some(Status::Partial {
-                    reason: format!("{what} on attempt {used} (wedged; attempt thread abandoned)"),
+                    reason: format!(
+                        "deadline of {:.1}s exceeded on attempt {used} \
+                         (wedged; attempt thread abandoned)",
+                        deadline.as_secs_f64()
+                    ),
                 });
                 break;
             }
@@ -502,7 +435,7 @@ fn run_job(
         status = Some(Status::Partial { reason });
     }
     ExecOutcome {
-        status: status.expect("at least one attempt or a breaker verdict"),
+        status: status.expect("at least one attempt"),
         output,
         wall: start.elapsed(),
         retries: used.saturating_sub(1),
@@ -683,10 +616,9 @@ fn record_outcome(
 ///
 /// `opts.jobs` worker threads take the queued jobs and run each attempt
 /// through [`supervised::run`]; an overrun abandons that attempt's
-/// thread, and repeated panic/deadline failures open a per-experiment
-/// circuit breaker ([`Status::Degraded`]). Only the calling thread
-/// publishes and journals. Storage faults degrade the run (see
-/// [`SuiteHealth`]) rather than aborting it.
+/// thread. Only the calling thread publishes and journals. Storage
+/// faults degrade the run (see [`SuiteHealth`]) rather than aborting
+/// it.
 ///
 /// # Errors
 ///
@@ -694,9 +626,9 @@ fn record_outcome(
 /// recorded manifest (unless [`SuiteOptions::resume_fallback`]);
 /// [`SuiteError::Crashed`] when an injected chaos kill fired;
 /// [`SuiteError::Io`] for unrecoverable filesystem failures and a
-/// refused worker thread. Per-experiment failures are *not* errors — they come back as
-/// [`Status::Partial`] / [`Status::Degraded`] / [`Status::Failed`]
-/// rows in the report.
+/// refused worker thread. Per-experiment failures are *not* errors —
+/// they come back as [`Status::Partial`] / [`Status::Failed`] rows in
+/// the report.
 #[allow(clippy::too_many_lines)]
 pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport, SuiteError> {
     let chaos_guard = opts.chaos.as_ref().map(chaos::install);
@@ -824,20 +756,16 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
 
     let to_run = pending.len();
     let workers_planned = opts.jobs.max(1).min(to_run.max(1));
-    let breakers: Breakers = Mutex::new(vec![Default::default(); selected.len()]);
     // The workers' cursor into `pending`. It only hands out indices into
     // a list fixed before they start, so it publishes nothing: Relaxed.
     let next = AtomicUsize::new(0);
     thread::scope(|s| -> Result<(), SuiteError> {
         let (tx, rx) = mpsc::channel();
         for id in 0..workers_planned {
-            let (tx, pending, next, selected, breakers) =
-                (tx.clone(), &pending, &next, &selected, &breakers);
+            let (tx, pending, next, selected) = (tx.clone(), &pending, &next, &selected);
             thread::Builder::new()
                 .name(format!("pandora-worker-{id}"))
-                .spawn_scoped(s, move || {
-                    work(pending, next, selected, breakers, opts, &tx)
-                })?;
+                .spawn_scoped(s, move || work(pending, next, selected, opts, &tx))?;
         }
         drop(tx);
         // Returning early drops `rx`: each worker stops after its
@@ -860,16 +788,7 @@ pub fn run_suite(registry: &Registry, opts: &SuiteOptions) -> Result<SuiteReport
         Ok(())
     })?;
 
-    // Health finalization: open breakers (registry order), chaos stats.
-    {
-        let guard = breakers.lock().unwrap_or_else(|p| p.into_inner());
-        health.breakers_open = guard
-            .iter()
-            .enumerate()
-            .filter(|(_, (b, _))| b.is_open(0))
-            .map(|(i, _)| selected[i].name.to_string())
-            .collect();
-    }
+    // Health finalization: chaos stats.
     if let Some(guard) = &chaos_guard {
         let stats = guard.stats();
         health.faults_injected = stats.injected;

@@ -1,6 +1,6 @@
 //! Golden bytes of `summary.json` and `summary.canonical.json`: a fixed
-//! [`SuiteReport`] covering every [`Status`] kind, a reason that needs
-//! escaping, non-empty health lists and an empty experiment list must
+//! [`SuiteReport`] covering every [`Status`] kind, a reason and a health
+//! list entry that need escaping, and an empty experiment list must
 //! render exactly as pinned here. Both documents must also parse back
 //! through the workspace JSON codec.
 
@@ -48,8 +48,8 @@ fn full_report() -> SuiteReport {
             partial,
             row(
                 "wedger",
-                Status::Degraded {
-                    reason: "circuit breaker opened".to_string(),
+                Status::Partial {
+                    reason: "deadline of 2.0s exceeded on attempt 1".to_string(),
                 },
                 0,
                 u64::MAX,
@@ -67,12 +67,11 @@ fn full_report() -> SuiteReport {
         ],
         health: SuiteHealth {
             workers_abandoned: 2,
-            breakers_open: vec!["wedger".to_string(), "q\"uote".to_string()],
             journal_degraded: true,
             publish_failures: 4,
             faults_injected: 5,
             faults_survived: 4,
-            fault_kinds: vec!["eio", "short-write"],
+            fault_kinds: vec!["eio", "short-write", "q\"uote"],
             io_ops: 99,
             ops_by_site: vec![("journal.append", 7)],
         },
@@ -96,12 +95,12 @@ const FULL_JSON: &str = r##"{
   "seed": "0x0000000000000e16",
   "run_hash": "0xdeadbeef0badf00d",
   "jobs": 2,
-  "health": {"workers_abandoned": 2, "breakers_open": ["wedger", "q\"uote"], "journal_degraded": true, "publish_failures": 4, "faults_injected": 5, "faults_survived": 4, "fault_kinds": ["eio", "short-write"], "io_ops": 99},
+  "health": {"workers_abandoned": 2, "journal_degraded": true, "publish_failures": 4, "faults_injected": 5, "faults_survived": 4, "fault_kinds": ["eio", "short-write", "q\"uote"], "io_ops": 99},
   "experiments": [
     {"name": "table1", "status": "ok", "partial": false, "wall_ms": 1234, "retries": 0, "resumed": true, "reverified": false, "output_hash": "0x0123456789abcdef", "output_bytes": 4096},
     {"name": "fig5_amplification", "status": "ok", "partial": false, "wall_ms": 77, "retries": 0, "resumed": false, "reverified": true, "output_hash": "0x000000000000feed", "output_bytes": 12},
     {"name": "fig6_bsaes_hist", "status": "partial", "partial": true, "reason": "panicked after 2 attempt(s): \"boom\"\nline two\u0001 \\ end", "wall_ms": 5, "retries": 1, "resumed": false, "reverified": false, "output_hash": "0x0000000000000000", "output_bytes": 0},
-    {"name": "wedger", "status": "degraded", "partial": false, "reason": "circuit breaker opened", "wall_ms": 0, "retries": 0, "resumed": false, "reverified": false, "output_hash": "0xffffffffffffffff", "output_bytes": 1},
+    {"name": "wedger", "status": "partial", "partial": true, "reason": "deadline of 2.0s exceeded on attempt 1", "wall_ms": 0, "retries": 0, "resumed": false, "reverified": false, "output_hash": "0xffffffffffffffff", "output_bytes": 1},
     {"name": "e17_scan_service", "status": "failed", "partial": false, "reason": "determinism re-verification failed", "wall_ms": 3, "retries": 0, "resumed": false, "reverified": false, "output_hash": "0x0000000000000001", "output_bytes": 2}
   ]
 }
@@ -116,7 +115,7 @@ const FULL_CANONICAL: &str = r##"{
     {"name": "table1", "status": "ok", "output_hash": "0x0123456789abcdef", "output_bytes": 4096},
     {"name": "fig5_amplification", "status": "ok", "output_hash": "0x000000000000feed", "output_bytes": 12},
     {"name": "fig6_bsaes_hist", "status": "partial", "output_hash": "0x0000000000000000", "output_bytes": 0},
-    {"name": "wedger", "status": "degraded", "output_hash": "0xffffffffffffffff", "output_bytes": 1},
+    {"name": "wedger", "status": "partial", "output_hash": "0xffffffffffffffff", "output_bytes": 1},
     {"name": "e17_scan_service", "status": "failed", "output_hash": "0x0000000000000001", "output_bytes": 2}
   ]
 }
@@ -128,7 +127,7 @@ const EMPTY_JSON: &str = r##"{
   "seed": "0x0000000000000000",
   "run_hash": "0x0000000000000000",
   "jobs": 1,
-  "health": {"workers_abandoned": 0, "breakers_open": [], "journal_degraded": false, "publish_failures": 0, "faults_injected": 0, "faults_survived": 0, "fault_kinds": [], "io_ops": 0},
+  "health": {"workers_abandoned": 0, "journal_degraded": false, "publish_failures": 0, "faults_injected": 0, "faults_survived": 0, "fault_kinds": [], "io_ops": 0},
   "experiments": [
   ]
 }
@@ -163,13 +162,17 @@ fn summaries_parse_back_through_the_codec() {
         rows[2].get("reason").and_then(Json::as_str),
         Some("panicked after 2 attempt(s): \"boom\"\nline two\u{1} \\ end")
     );
-    let open = doc
+    let kinds = doc
         .get("health")
-        .and_then(|h| h.get("breakers_open"))
+        .and_then(|h| h.get("fault_kinds"))
         .unwrap();
     assert_eq!(
-        open,
-        &Json::Arr(vec![Json::from("wedger"), Json::from("q\"uote")])
+        kinds,
+        &Json::Arr(vec![
+            Json::from("eio"),
+            Json::from("short-write"),
+            Json::from("q\"uote")
+        ])
     );
     for text in [FULL_CANONICAL, EMPTY_JSON, EMPTY_CANONICAL] {
         json::parse(text).expect("summary document parses");

@@ -7,10 +7,8 @@
 //! success closes the breaker. A threshold of 0 disables it.
 //!
 //! Time is an explicit millisecond parameter rather than a clock read,
-//! so every decision is deterministic under test. The scan service
-//! keeps one breaker per tenant with a finite cooldown; the suite
-//! orchestrator keeps one per experiment with `cooldown_ms = u64::MAX`,
-//! so an opened breaker stays open for the rest of the run.
+//! so every decision is deterministic under test. The per-tenant quota
+//! ([`crate::quota`]) keeps one breaker per tenant.
 
 /// One breaker's state.
 #[derive(Clone, Copy, Debug, Default)]

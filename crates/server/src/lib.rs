@@ -7,6 +7,7 @@
 //! returns a Table-I-style report: which classes leak, the measured
 //! capacity, and the receiver transcript.
 
+mod breaker;
 pub mod http;
 pub mod job;
 pub use pandora_runner::json;

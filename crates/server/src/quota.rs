@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use pandora_runner::breaker::Breaker;
+use crate::breaker::Breaker;
 
 /// Token-bucket parameters.
 #[derive(Clone, Copy, PartialEq, Debug)]

@@ -207,23 +207,33 @@ impl Server {
     }
 
     /// Serves until drained. Worker panics are supervised per-job;
-    /// this only returns `Err` on listener-level I/O failures.
+    /// this only returns `Err` on listener-level I/O failures and a
+    /// refused worker thread.
     ///
     /// # Errors
     ///
     /// Listener configuration failures (accept-loop errors are
-    /// per-connection and absorbed).
+    /// per-connection and absorbed), and the OS refusing a worker
+    /// thread: the server then accepts nothing, and the workers already
+    /// started are drained and joined before the error returns.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let workers: Vec<_> = (0..self.shared.cfg.threads.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&self.shared);
-                std::thread::Builder::new()
-                    .name(format!("pandora-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
+        let mut workers = Vec::new();
+        let mut refused = None;
+        for i in 0..self.shared.cfg.threads.max(1) {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("pandora-worker-{i}"))
+                .spawn(move || worker_loop(&shared));
+            match spawned {
+                Ok(w) => workers.push(w),
+                Err(e) => {
+                    self.shared.draining.store(true, Ordering::SeqCst);
+                    refused = Some(e);
+                    break;
+                }
+            }
+        }
 
         while !self.shared.draining.load(Ordering::SeqCst) {
             match self.listener.accept() {
@@ -241,7 +251,7 @@ impl Server {
             // but drain must still complete; absorb it.
             let _ = w.join();
         }
-        Ok(())
+        refused.map_or(Ok(()), Err)
     }
 
     /// Queues a fresh connection or sheds it with an immediate 503.
